@@ -15,6 +15,7 @@ import numpy as np
 
 from permpml.approx import bethe_permanent, scaled_sinkhorn_permanent, sinkhorn_permanent
 from permpml.approx import block_ones_matrix, k_distinct_column_matrix
+from permpml.convex import G_MAX_ITER, G_TOL
 from permpml.estimator import approximate_pml, exact_pml_oracle
 from permpml.permanent import RYSER_LIMIT, log_permanent, matrix_from_json
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
@@ -205,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pml.add_argument("profile_file")
     p_pml.add_argument("--eps", type=float, default=None)
     p_pml.add_argument("--gamma", type=float, default=None)
-    p_pml.add_argument("--tol", type=float, default=1e-8)
-    p_pml.add_argument("--max-iter", type=int, default=100_000)
+    p_pml.add_argument("--tol", type=float, default=G_TOL)
+    p_pml.add_argument("--max-iter", type=int, default=G_MAX_ITER)
     p_pml.add_argument("--out")
     p_pml.set_defaults(func=_cmd_pml)
 

@@ -7,32 +7,39 @@ total probability mass is at most one.  log g is concave on this polytope;
 its maximizer is a fractional representation of an approximate PML
 distribution, later rounded to integral row sums.
 
-The solver first pins down the optimal face through the program's small dual
-(one price per observed frequency plus a mass price) via cutting planes and a
-primal-dual Newton polish, then runs conditional gradient from the recovered
-point: an exact decomposed linear oracle (per column the best level under the
+The solver works on the program's small dual: one price nu_j per observed
+frequency (nu_0 = 0), a mass price lam, and the constraints
+log z_i(nu) <= lam r_i per level with z_i(nu) = sum_j r_i^{m_j} e^{-nu_j}.
+A primal-dual interior-point Newton method (Mehrotra predictor-corrector on
+the (k+1+levels)-square KKT system) follows the central path
+t_i (lam r_i - log z_i) = mu, where t_i is the row sum of level i, and a
+last Newton solve on the active rows it reveals lands on the optimal face.
+The returned matrix is S_ij = t_i softmax_j(m_j log r_i - nu_j); its log g
+gradient is nu_j + log z_i, so its Frank-Wolfe duality gap is the interior
+point's complementarity gap.  That gap, evaluated on the exact returned
+matrix by a decomposed linear oracle (per column the best level under the
 mass price, the breakpoint located exactly on the sorted crossing list),
-equality-constrained Newton steps on the active rows, and consolidation/lift
-rescue moves for degenerate faces.  Every returned optimum carries a
-Frank-Wolfe duality-gap certificate evaluated on the exact returned matrix.
+certifies the result.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import logsumexp
 
 from permpml.profiles import Profile
 
 G_TOL = 1e-8
-G_MAX_ITER = 100_000
+G_MAX_ITER = 100
 
 _FLOOR = 1e-250
+_FOOTPRINT = 1e-30
 
 
 @dataclass(frozen=True)
@@ -299,54 +306,6 @@ def _linear_oracle(grad: np.ndarray, r: np.ndarray, phi: np.ndarray) -> np.ndarr
     return d
 
 
-def _g_newton_direction(
-    s: np.ndarray, logr: np.ndarray, m: np.ndarray, r: np.ndarray, mass_active: bool
-) -> np.ndarray | None:
-    """KKT Newton step on the rows currently holding mass.
-
-    Hessian: diag(-1/S) plus 1/rowsum rank-one per row; constraints: column
-    sums of columns 1..k and, when mass_active, the total-mass equality.
-    """
-    rs = s.sum(axis=1)
-    # rows far below scale are dying: their near-singular Hessian blocks
-    # would poison the KKT system, and consolidation handles them instead
-    act = np.where(rs >= 1e-6 * max(rs.sum(), 1.0))[0]
-    if act.size == 0:
-        return None
-    ncols = s.shape[1]
-    na = act.size * ncols
-    sa = np.maximum(s[act], _FLOOR)
-    rsa = sa.sum(axis=1)
-    grad = m[None, :] * logr[act][:, None] + np.log(rsa[:, None] / sa)
-    h = np.zeros((na, na))
-    for t in range(act.size):
-        blk = slice(t * ncols, (t + 1) * ncols)
-        h[blk, blk] = np.full((ncols, ncols), 1.0 / rsa[t])
-        h[blk, blk] -= np.diag(1.0 / np.maximum(sa[t], 1e-30))
-    ncon = (ncols - 1) + (1 if mass_active else 0)
-    a = np.zeros((ncon, na))
-    for j in range(1, ncols):
-        a[j - 1, j::ncols] = 1.0
-    if mass_active:
-        for t, i in enumerate(act):
-            a[-1, t * ncols : (t + 1) * ncols] = r[i]
-    kkt = np.zeros((na + ncon, na + ncon))
-    kkt[:na, :na] = h
-    kkt[:na, na:] = a.T
-    kkt[na:, :na] = a
-    resid = np.zeros(ncon)  # keep the current (feasible) marginals
-    rhs = np.concatenate([-grad.ravel(), resid])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    delta = np.zeros_like(s)
-    delta[act] = sol[:na].reshape(act.size, ncols)
-    return delta
-
-
 @dataclass(frozen=True)
 class SolverInfo:
     converged: bool
@@ -354,354 +313,46 @@ class SolverInfo:
     iterations: int
 
 
-def _shave_mass(s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bring the mass budget back to 1 without touching column sums.
+def _row_compositions(expo: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log z_i(nu) and the softmax rows xi_ij of expo_ij - nu_j, with nu_0 = 0."""
+    shifted = expo - np.concatenate(([0.0], nu))[None, :]
+    lz = logsumexp(shifted, axis=1)
+    return lz, np.exp(shifted - lz[:, None])
 
-    Moves observed mass from higher levels to the bottom level (the cheapest
-    colsum-preserving repair); a multiplicative shave of column 0 would
-    distort its composition arbitrarily when the excess rivals the unseen
-    mass.  Falls back to a uniform rescale when nothing is movable.
+
+def _newton_step(xi, r, phi, t, rd, a, b, c, lu=None):
+    """One linearization of the KKT system in (nu, lam, t).
+
+    The residuals are the column sums phi - sum_i t_i xi_i, the mass 1 - r.t
+    and one row equation a_i dt_i + b_i ds_i = c_i per level, where the slack
+    s_i = lam r_i - log z_i(nu) moves by ds = rd + r dlam + xi dnu (rd is the
+    slack's own residual).  Pass the returned LU factors back to reuse the
+    matrix for a second right-hand side; a singular matrix raises
+    LinAlgWarning.
     """
-    mass = float(r @ s.sum(axis=1))
-    if mass <= 1.0:
-        return s
-    excess = mass - 1.0
-    out = s.copy()
-    for j in range(1, s.shape[1]):
-        for i in range(len(r) - 1):
-            if excess <= 0:
-                break
-            gain = r[i] - r[-1]
-            if gain <= 0 or out[i, j] <= 0:
-                continue
-            u = min(out[i, j], excess / gain)
-            out[i, j] -= u
-            out[-1, j] += u
-            excess -= u * gain
-        if excess <= 0:
-            break
-    if excess > 0:
-        out /= 1.0 + excess
-    return out
+    x = xi[:, 1:]
+    k, ell = x.shape[1], len(r)
+    if lu is None:
+        kkt = np.zeros((k + 1 + ell, k + 1 + ell))
+        # d colsum_j / d nu = -sum_i t_i (diag(xi_i) - xi_i xi_i^T) on columns 1..k
+        kkt[:k, :k] = x.T @ (t[:, None] * x) - np.diag(x.T @ t)
+        kkt[:k, k + 1 :] = x.T
+        kkt[k, k + 1 :] = r
+        kkt[k + 1 :, :k] = b[:, None] * x
+        kkt[k + 1 :, k] = b * r
+        kkt[k + 1 + np.arange(ell), k + 1 + np.arange(ell)] = a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            lu = lu_factor(kkt)
+    rhs = np.concatenate([phi - x.T @ t, [1.0 - r @ t], c - b * rd])
+    sol = lu_solve(lu, rhs)
+    dnu, dlam, dt = sol[:k], sol[k], sol[k + 1 :]
+    return dnu, dlam, dt, rd + r * dlam + x @ dnu, lu
 
 
-def _consolidation_target(s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-    """Feasible point with every dying row's mass merged into dominant rows.
-
-    Frank-Wolfe shrinks rows that should vanish only geometrically, which
-    stalls the duality gap; the segment from s to this target is a feasible
-    away-style direction along which the line search can kill them outright.
-    Column sums are preserved exactly; any mass increase is shaved off
-    column 0 or, failing that, scaled away.
-    """
-    rs = s.sum(axis=1)
-    total = max(float(rs.sum()), 1.0)
-    # rows at ~1e-30 are deliberate footprints in the dual-optimal
-    # composition, not dying rows; merging them away would corrupt their
-    # gradients
-    dying = (rs > 1e-20) & (rs < 1e-6 * total)
-    keep = ~dying
-    if not np.any(dying) or not np.any(keep):
-        return None
-    out = s.copy()
-    for j in range(s.shape[1]):
-        moved = float(out[dying, j].sum())
-        if moved == 0.0:
-            continue
-        col = np.where(keep, out[:, j], -1.0)
-        recipient = int(np.argmax(col))
-        out[dying, j] = 0.0
-        out[recipient, j] += moved
-    return _shave_mass(out, r)
-
-
-def _entropic_lift(s: np.ndarray, r: np.ndarray, phi: np.ndarray, eta: float = 1e-10) -> np.ndarray:
-    """Mix every live row with its uniform composition, then restore marginals.
-
-    Frank-Wolfe steps starve individual entries of live rows (the optimum
-    keeps every entry of a massive row strictly positive); the lift raises
-    them back to ~eta of the row mass so the gradients and the Newton model
-    become informative again.  Mixing preserves row sums (hence the mass
-    budget) exactly; the column re-snap drifts mass by at most O(eta), which
-    is shaved off column 0.
-    """
-    out = s.copy()
-    rs = out.sum(axis=1)
-    live = rs > 1e-9 * max(1.0, float(rs.sum()))
-    ncols = out.shape[1]
-    out[live] = (1.0 - eta) * out[live] + (eta / ncols) * rs[live][:, None]
-    cols = out[:, 1:].sum(axis=0)
-    good = cols > 0
-    out[:, 1:][:, good] *= phi[good] / cols[good]
-    return _shave_mass(out, r)
-
-
-def _initial_point(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Strictly positive feasible start with total mass well below 1."""
-    ell = len(r)
-    u = (1.0 / r) / np.sum(1.0 / r)
-    base = np.zeros(ell)
-    base[-1] = 1.0
-    # mass of the observed columns: (1-theta) sum(phi) r_min + theta sum(phi) u.r
-    theta = min(0.5, 1.0 / (4.0 * float(phi.sum()) * float(u @ r)))
-    theta = max(theta, 1e-9)
-    weights = (1.0 - theta) * base + theta * u
-    s = np.zeros((ell, len(phi) + 1))
-    s[:, 1:] = weights[:, None] * phi[None, :]
-    s[:, 0] = (1.0 / (8.0 * ell)) / r
-    assert float(r @ s.sum(axis=1)) <= 1.0
-    return s
-
-
-def _dual_solve(r: np.ndarray, phi: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Kelley cutting planes for the (k+1)-dimensional dual of the g-program.
-
-    Dual variables: one price nu_j per observed frequency (nu_0 = 0) and a
-    non-negative mass price lam, minimizing phi . nu + lam subject to
-    log z_i(nu) <= lam r_i per level, z_i(nu) = sum_j r_i^{m_j} e^{-nu_j}.
-    The dual is coercive because 1/r_min > sum(phi).  Returns (nu, lam) of
-    the best feasible dual point, or None if the LP machinery fails.
-    """
-    ell = len(r)
-    k = len(phi)
-    logr = np.log(r)
-
-    def log_z(nu: np.ndarray) -> np.ndarray:
-        nu_full = np.concatenate(([0.0], nu))
-        return logsumexp(m[None, :] * logr[:, None] - nu_full[None, :], axis=1)
-
-    bound = 100.0 * (1.0 + float(m.max()) * float(np.abs(logr).max()) + math.log(ell + k + 1))
-    cuts_a: list[np.ndarray] = []
-    cuts_b: list[float] = []
-    nu = np.zeros(k)
-    best_ub = math.inf
-    best = (nu.copy(), 0.0)
-    lower = -math.inf
-    stall = 0
-    for it in range(400):
-        lz = log_z(nu)
-        ratios = lz / r
-        lam_req = max(0.0, float(ratios.max()))
-        ub = float(phi @ nu) + lam_req
-        if ub < best_ub - 1e-12 * (1.0 + abs(ub)):
-            best_ub = ub
-            best = (nu.copy(), lam_req)
-            stall = 0
-        else:
-            stall += 1
-            # the Newton polish only needs the basin; a stalled upper bound
-            # means the cutting planes are done contributing
-            if stall >= 20 and it >= 30:
-                break
-        # cut lam >= lz_i/r_i + grad . (nu' - nu) for the most binding rows
-        nu_full = np.concatenate(([0.0], nu))
-        for i in np.argsort(ratios)[::-1][:3]:
-            w = np.exp(m * logr[i] - nu_full - lz[i])
-            grad = -w[1:] / r[i]
-            cuts_a.append(np.concatenate([grad, [-1.0]]))
-            cuts_b.append(float(grad @ nu - ratios[i]))
-        res = linprog(
-            np.concatenate([phi, [1.0]]),
-            A_ub=np.array(cuts_a),
-            b_ub=np.array(cuts_b),
-            bounds=[(-bound, bound)] * k + [(0.0, None)],
-            method="highs",
-        )
-        if res.status != 0:
-            return best if best_ub < math.inf else None
-        lower = max(lower, float(res.fun))
-        if best_ub - lower <= 1e-9 * (1.0 + abs(best_ub)):
-            break  # the primal-dual Newton polish finishes the job
-        nu = np.asarray(res.x[:k])
-    return best
-
-
-def _dual_newton(
-    r: np.ndarray,
-    phi: np.ndarray,
-    m: np.ndarray,
-    nu0: np.ndarray,
-    lam0: float,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
-    """Primal-dual Newton on candidate active sets from a dual estimate.
-
-    Solves the square system {lam r_i = log z_i(nu) on A; marginal equations
-    for the row masses t; mass equation when lam > 0} to machine precision.
-    Tries active sets of increasing size built from the smallest slacks and
-    returns (nu, lam, active_rows, t) for the first consistent solution.
-    """
-    ell = len(r)
-    k = len(phi)
-    logr = np.log(r)
-
-    def parts(nu: np.ndarray):
-        nu_full = np.concatenate(([0.0], nu))
-        expo = m[None, :] * logr[:, None] - nu_full[None, :]
-        lz = logsumexp(expo, axis=1)
-        xi = np.exp(expo - lz[:, None])
-        return lz, xi
-
-    lz0, _ = parts(nu0)
-    order = np.argsort(lam0 * r - lz0)
-    mass_binding = lam0 > 1e-9
-    # candidate active sets: by slack order from the cutting-plane point,
-    # then adaptively grown with whichever row the polished point violates
-    candidates = [np.sort(order[:size]) for size in range(1, min(ell, k + 5) + 1)]
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    while candidates and attempts < 4 * (k + 5):
-        attempts += 1
-        act = candidates.pop(0)
-        key = tuple(int(i) for i in act)
-        if key in seen:
-            continue
-        seen.add(key)
-        size = len(act)
-        nu = nu0.copy()
-        lam = lam0
-        t = np.full(size, 1.0 / size)
-        ok = False
-        for _ in range(60):
-            lz, xi = parts(nu)
-            xa = xi[act]
-            f1 = lam * r[act] - lz[act]
-            f2 = xa[:, 1:].T @ t - phi
-            res_list = [f1, f2]
-            if mass_binding:
-                res_list.append(np.array([t @ r[act] - 1.0]))
-            fvec = np.concatenate(res_list)
-            if np.linalg.norm(fvec) <= 1e-12 * (1.0 + abs(lam)):
-                ok = True
-                break
-            nvar = k + (1 if mass_binding else 0) + size
-            jac = np.zeros((len(fvec), nvar))
-            # d f1_i / d nu_j = xi_ij ; d f1_i / d lam = r_i
-            jac[:size, :k] = xa[:, 1:]
-            if mass_binding:
-                jac[:size, k] = r[act]
-            # d f2_j / d nu_j' = sum_i t_i xi_ij (xi_ij' - delta)
-            for j in range(1, k + 1):
-                for jp in range(1, k + 1):
-                    val = float(np.sum(t * xa[:, j] * (xa[:, jp] - (1.0 if j == jp else 0.0))))
-                    jac[size + j - 1, jp - 1] = val
-                jac[size + j - 1, (k + 1 if mass_binding else k):] = xa[:, j]
-            if mass_binding:
-                jac[size + k, (k + 1):] = r[act]
-            try:
-                step = np.linalg.lstsq(jac, -fvec, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            base = float(np.linalg.norm(fvec))
-            for _bt in range(30):
-                nu_n = nu + scale * step[:k]
-                lam_n = lam + scale * (step[k] if mass_binding else 0.0)
-                t_n = t + scale * step[(k + 1 if mass_binding else k):]
-                lz_n, xi_n = parts(nu_n)
-                f1_n = lam_n * r[act] - lz_n[act]
-                f2_n = xi_n[act][:, 1:].T @ t_n - phi
-                res_n = [f1_n, f2_n]
-                if mass_binding:
-                    res_n.append(np.array([t_n @ r[act] - 1.0]))
-                if float(np.linalg.norm(np.concatenate(res_n))) < base:
-                    nu, lam, t = nu_n, lam_n, t_n
-                    break
-                scale *= 0.5
-            else:
-                break
-        if not ok:
-            continue
-        if mass_binding and lam <= 1e-12:
-            continue
-        if np.any(t < -1e-10):
-            keep = t > -1e-10
-            if keep.sum() >= 1:
-                candidates.append(act[keep])
-            continue
-        lz, xi = parts(nu)
-        slack = lam * r - lz
-        # a loose tolerance here silently breaks weak duality at the scale
-        # the certificate must resolve; queue the set grown by the violating
-        # row (behind the plain size sweep, which must not be starved)
-        viol = slack < -1e-11 * (1.0 + abs(lam))
-        if np.any(viol):
-            worst = int(np.argmin(slack))
-            if worst not in act:
-                candidates.append(np.sort(np.append(act, worst)))
-            continue
-        return nu, lam, act, np.maximum(t, 0.0)
-    return None
-
-
-def _primal_from_dual(
-    r: np.ndarray,
-    phi: np.ndarray,
-    m: np.ndarray,
-    nu: np.ndarray,
-    lam: float,
-    act: np.ndarray,
-    t: np.ndarray,
-) -> np.ndarray:
-    """Allocation matrix from a solved dual point with known active rows."""
-    logr = np.log(r)
-    nu_full = np.concatenate(([0.0], nu))
-    expo = m[None, :] * logr[:, None] - nu_full[None, :]
-    lz = logsumexp(expo, axis=1)
-    xi = np.exp(expo - lz[:, None])
-    s = 1e-30 * xi
-    s[act] = t[:, None] * xi[act]
-    cols = s[:, 1:].sum(axis=0)
-    good = cols > 0
-    s[:, 1:][:, good] *= phi[good] / cols[good]
-    # a uniform hair of slack (applied after the snap) keeps the mass budget
-    # strictly under 1; uniform scaling preserves compositions, so the
-    # gradient structure (hence the duality-gap certificate) is untouched,
-    # and the 1e-11 relative column-sum deficit is far inside tolerance
-    s *= 1.0 - 1e-11
-    return _shave_mass(s, r)
-
-
-def _recover_primal(
-    r: np.ndarray, phi: np.ndarray, m: np.ndarray, nu: np.ndarray, lam: float
-) -> np.ndarray | None:
-    """Primal allocation from a dual point: active rows carry the softmax
-    compositions, with row masses solved from the marginal equations."""
-    logr = np.log(r)
-    nu_full = np.concatenate(([0.0], nu))
-    expo = m[None, :] * logr[:, None] - nu_full[None, :]
-    lz = logsumexp(expo, axis=1)
-    slack = lam * r - lz
-    for atol in (1e-7, 1e-5, 1e-3):
-        act = np.where(slack <= atol * (1.0 + np.abs(lam * r)))[0]
-        if act.size == 0:
-            continue
-        xi = np.exp(expo[act] - lz[act, None])
-        mat = xi[:, 1:].T.copy()
-        rhs = phi.astype(float).copy()
-        if lam > 1e-9:
-            mat = np.vstack([mat, r[act][None, :]])
-            rhs = np.concatenate([rhs, [1.0]])
-        try:
-            t, resid = nnls(mat, rhs)
-        except Exception:
-            continue
-        if resid > 1e-7 * (1.0 + float(np.linalg.norm(rhs))):
-            continue
-        s = np.zeros((len(r), len(phi) + 1))
-        s[act] = t[:, None] * xi
-        # inactive rows keep an infinitesimal footprint in their dual-optimal
-        # composition: a uniform floor would distort their gradients by
-        # log(k+1) and keep the duality-gap certificate from closing
-        inact = np.setdiff1d(np.arange(len(r)), act)
-        if inact.size:
-            s[inact] = 1e-30 * np.exp(expo[inact] - lz[inact, None])
-        cols = s[:, 1:].sum(axis=0)
-        if np.any(cols <= 0):
-            continue
-        s[:, 1:] *= phi / cols
-        s *= 1.0 - 1e-11
-        return _shave_mass(s, r)
-    return None
+def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0
+    return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
 
 
 def maximize_log_g(
@@ -714,155 +365,111 @@ def maximize_log_g(
 ):
     """Maximize log g over the fractional feasible set, certified by FW gap <= tol.
 
-    Returns the AllocationMatrix (and a SolverInfo when return_info is set).
-    The objective is non-decreasing across iterations; `on_iteration`, when
-    given, receives it after every accepted step.
+    Returns the AllocationMatrix (and a SolverInfo when return_info is set;
+    its `iterations` counts Newton steps, at most max_iter).  The interior
+    point iterates are not primal feasible, so `on_iteration`, when given,
+    receives one value: the objective of the returned matrix.
     """
     r = grid.values
     phi = np.array(profile.counts, dtype=float)
     m = np.array([0, *profile.freqs], dtype=float)
-    logr = np.log(r)
-    # the low-dimensional dual pinpoints the optimal face; conditional
-    # gradient alone only closes the duality gap sublinearly on faces with
-    # vanishing rows
-    s = None
-    dual = _dual_solve(r, phi, m)
-    if dual is not None:
-        polished = _dual_newton(r, phi, m, dual[0], dual[1])
-        if polished is not None:
-            s = _primal_from_dual(r, phi, m, *polished)
-        if s is None:
-            s = _recover_primal(r, phi, m, dual[0], dual[1])
-    if s is None:
-        s = _initial_point(r, phi)
-    s = np.maximum(s, _FLOOR)
-    f_cur = log_g(s, r, m)
-    best_f = f_cur
-    gap = math.inf
-    converged = False
-    allow_newton = True
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        grad = log_g_gradient(s, r, m)
-        d_fw = _linear_oracle(grad, r, phi)
-        direction = d_fw - s
-        gap = float(np.sum(grad * direction))
-        if gap <= tol:
-            converged = True
+    ell = len(r)
+    expo = m[None, :] * np.log(r)[:, None]
+
+    # Start: half the row mass on the empirical levels m_j/n, half spread
+    # evenly over the levels; the prices put the peak of r^{m_j} e^{-nu_j - n r}
+    # at r = m_j/n (a start at nu = 0 stalls on large frequencies), then a
+    # few Sinkhorn updates fit the column sums.
+    n = float(m[1:] @ phi)
+    home = np.argmin(np.abs(np.log(r)[:, None] - np.log(m[None, 1:] / n)), axis=0)
+    placed = np.bincount(home, weights=phi, minlength=ell)
+    t = 0.5 / (ell * r) + 0.5 * placed / (r @ placed)
+    nu = m[1:] * np.log(m[1:] / n) - m[1:] + 2.0
+    for _ in range(10):
+        _, xi = _row_compositions(expo, nu)
+        nu += np.log(xi[:, 1:].T @ t / phi)
+    lz, xi = _row_compositions(expo, nu)
+    lam = float(np.max(lz / r)) + 1.0
+    s = lam * r - lz
+
+    # Mehrotra predictor-corrector on the central path t_i s_i = mu; the slack
+    # s is a variable of its own, so the dual constraints may be violated
+    # until the residual rd vanishes.
+    steps = 0
+    while steps < max_iter:
+        mu = float(t @ s) / ell
+        rd = lam * r - lz - s
+        if (
+            ell * mu <= 1e-3 * tol
+            and np.abs(phi - xi[:, 1:].T @ t).max() <= 1e-12 * phi.max()
+            and abs(1.0 - r @ t) <= 1e-12
+            and np.abs(rd).max() <= 1e-12 * (1.0 + lam)
+        ):
             break
+        try:
+            dnu, dlam, dt, ds, lu = _newton_step(xi, r, phi, t, rd, s, t, -t * s)
+        except LinAlgWarning:
+            break  # singular KKT matrix
+        alpha = min(_fraction_to_boundary(t, dt), _fraction_to_boundary(s, ds))
+        mu_aff = float((t + alpha * dt) @ (s + alpha * ds)) / ell
+        centre = (mu_aff / mu) ** 3 * mu
+        dnu, dlam, dt, ds, _ = _newton_step(xi, r, phi, t, rd, s, t, centre - t * s - dt * ds, lu)
+        steps += 1
+        tau = max(0.99, 1.0 - mu)
+        alpha = tau * min(_fraction_to_boundary(t, dt), _fraction_to_boundary(s, ds))
+        # the log-sum-exp is only trusted so far: cap the price move per step
+        alpha = min(alpha, 10.0 / max(float(np.abs(dnu).max()), 1e-300))
+        nu, lam, t, s = nu + alpha * dnu, lam + alpha * dlam, t + alpha * dt, s + alpha * ds
+        lz, xi = _row_compositions(expo, nu)
+    s_entries = t[:, None] * xi
 
-        noise = 1e-12 * (1.0 + abs(f_cur))
-        accepted = False
-        if allow_newton:
-            mass_active = float(r @ s.sum(axis=1)) >= 1.0 - 1e-7
-            delta = _g_newton_direction(s, logr, m, r, mass_active)
-            if delta is not None and np.any(delta) and np.abs(delta).max() <= 4.0 * float(phi.sum() + 1.0):
-                shrink = delta < 0
-                alpha = 1.0
-                if np.any(shrink):
-                    alpha = min(alpha, 0.995 * float(np.min(s[shrink] / -delta[shrink])))
-                for _try in range(40):
-                    cand = np.maximum(s + alpha * delta, _FLOOR)
-                    f_new = log_g(cand, r, m)
-                    if f_new >= f_cur - noise and float(r @ cand.sum(axis=1)) <= 1.0 + 1e-9:
-                        allow_newton = f_new > f_cur + noise
-                        s, f_cur, accepted = cand, f_new, True
-                        break
-                    alpha *= 0.5
-                else:
-                    allow_newton = False
-        fw_progress = False
-        if not accepted:
+    # The interior point ends at the analytic centre of the optimal face,
+    # with dead rows at t ~ mu/s rather than zero.  Newton on the KKT
+    # equations of the active set it reveals (mass share t_i r_i above the
+    # relative slack s_i / (lam r_i)) removes them exactly, and runs until
+    # its residual stops halving: a fixed threshold cannot tell the rounding
+    # floor when prices reach 1e4.  Dead rows keep a footprint in their
+    # optimal composition so that their gradients stay those of the dual
+    # point.
+    active = lam * r * r * t > s
+    t_act = np.where(active, t, 0.0)
+    last = math.inf
+    while steps < max_iter:
+        s = lam * r - lz
+        resid = max(
+            float(np.abs(phi - xi[:, 1:].T @ t_act).max()),
+            abs(1.0 - r @ t_act),
+            float(np.abs(s[active]).max()),
+        )
+        if not resid < 0.5 * last:
+            break  # at the rounding floor, or no optimum on this face
+        last = resid
+        if resid <= 1e-9 and np.all(t_act[active] > 0.0) and np.all(s[~active] > -1e-9):
+            s_entries = np.where(active, t_act, _FOOTPRINT)[:, None] * xi
+        try:
+            dnu, dlam, dt, _, _ = _newton_step(
+                xi, r, phi, t_act, 0.0, (~active).astype(float), active.astype(float), np.where(active, -s, 0.0)
+            )
+        except LinAlgWarning:
+            break
+        steps += 1
+        nu, lam, t_act = nu + dnu, lam + dlam, t_act + dt
+        lz, xi = _row_compositions(expo, nu)
 
-            def deriv(t: float) -> float:
-                g_t = log_g_gradient(s + t * direction, r, m)
-                return float(np.sum(g_t * direction))
-
-            # never step fully onto the vertex: entries must keep a foothold
-            t = _bisect_concave(deriv, 1.0 - 1e-6)
-            f_new = log_g(np.maximum(s + t * direction, _FLOOR), r, m)
-            while f_new < f_cur and t > 1e-18:
-                t *= 0.5
-                f_new = log_g(np.maximum(s + t * direction, _FLOOR), r, m)
-            if f_new >= f_cur:
-                s = np.maximum(s + t * direction, _FLOOR)
-                fw_progress = f_new > f_cur + noise
-                f_cur = f_new
-                accepted = True
-                allow_newton = True
-        if not accepted or not fw_progress:
-            # kill dying rows along a feasible away segment; Frank-Wolfe only
-            # shrinks them geometrically, which pins the duality gap
-            target = _consolidation_target(s, r)
-            if target is not None:
-                away = target - s
-
-                def aderiv(t: float) -> float:
-                    g_t = log_g_gradient(s + t * away, r, m)
-                    return float(np.sum(g_t * away))
-
-                if aderiv(0.0) > 0.0:
-                    ta = _bisect_concave(aderiv, 1.0)
-                    f_new = log_g(np.maximum(s + ta * away, _FLOOR), r, m)
-                    if f_new >= f_cur:
-                        s = np.maximum(s + ta * away, _FLOOR)
-                        f_cur = f_new
-                        accepted = True
-                        allow_newton = True
-        if not accepted:
-            if allow_newton:
-                allow_newton = False
-            else:
-                lifted = _entropic_lift(s, r, phi)
-                f_lift = log_g(lifted, r, m)
-                if f_lift >= f_cur - noise and not np.array_equal(lifted, s):
-                    s, f_cur = lifted, max(f_cur, f_lift)
-                    allow_newton = True
-                else:
-                    break  # numerically stalled on every step type
-        # re-snap the hard column sums; drift is at the last-ulp level
-        cols = s[:, 1:].sum(axis=0)
-        good = cols > 0
-        s[:, 1:][:, good] *= phi[good] / cols[good]
-        best_f = max(best_f, f_cur)
-        if on_iteration is not None:
-            on_iteration(best_f)
-    # final feasibility repair: accumulated snaps can push the mass a hair
-    # over budget, which downstream stages treat as a hard error.  A tiny
-    # excess is removed by a uniform scale (composition-preserving: it leaves
-    # the certificate intact and dents the column sums far below tolerance);
-    # only a gross excess needs the structural shave.
-    cols = s[:, 1:].sum(axis=0)
-    good = cols > 0
-    s[:, 1:][:, good] *= phi[good] / cols[good]
-    mass = float(r @ s.sum(axis=1))
+    # keep the mass budget, then snap the column sums; both repairs are at
+    # the level of rounding error
+    mass = float(r @ s_entries.sum(axis=1))
     if mass > 1.0:
-        if (mass - 1.0) * float(phi.max()) <= 5e-10:
-            s *= (1.0 - 1e-12) / mass
-        else:
-            s = _shave_mass(s, r)
-    # re-certify on the exact matrix being returned
-    grad = log_g_gradient(s, r, m)
-    gap = float(np.sum(grad * (_linear_oracle(grad, r, phi) - s)))
-    converged = gap <= tol
-    alloc = AllocationMatrix(r.copy(), s, profile)
+        s_entries /= mass
+    s_entries[:, 1:] *= phi / s_entries[:, 1:].sum(axis=0)
+    grad = log_g_gradient(s_entries, r, m)
+    gap = float(np.sum(grad * (_linear_oracle(grad, r, phi) - s_entries)))
+    alloc = AllocationMatrix(r.copy(), s_entries, profile)
+    if on_iteration is not None:
+        on_iteration(alloc.log_g())
     if return_info:
-        return alloc, SolverInfo(converged=converged, gap=gap, iterations=iterations)
+        return alloc, SolverInfo(converged=gap <= tol, gap=gap, iterations=steps)
     return alloc
-
-
-def _bisect_concave(deriv, t_max: float, iters: int = 70) -> float:
-    if deriv(t_max) >= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def pseudo_distribution_of(alloc: AllocationMatrix) -> np.ndarray:

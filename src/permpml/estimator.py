@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from permpml.convex import (
+    G_MAX_ITER,
+    G_TOL,
     build_discretization,
     maximize_log_g,
     pseudo_distribution_of,
@@ -64,8 +66,8 @@ def approximate_pml(
     p: Profile,
     eps: float | None = None,
     gamma: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
+    tol: float = G_TOL,
+    max_iter: int = G_MAX_ITER,
 ) -> PmlResult:
     """Compute an approximate PML distribution for a profile.
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from permpml.convex import (
 )
 from permpml.convex import _linear_oracle
 from permpml.permanent import log_permanent
-from permpml.profiles import Profile, profile_probability_matrix
+from permpml.profiles import Profile, profile_of_sequence, profile_probability_matrix, sample_sequence
 
 
 def test_build_discretization_n100():
@@ -188,11 +189,40 @@ def test_linear_oracle_matches_linprog():
 
 
 def test_maximize_log_g_converges_and_is_feasible():
-    for freqs, counts in [((1,), (1,)), ((2,), (1,)), ((1,), (2,)), ((1, 2), (1, 1)), ((1, 3), (2, 1))]:
+    cases = [((1,), (1,)), ((2,), (1,)), ((1,), (2,)), ((1, 2), (1, 1)), ((1, 3), (2, 1))]
+    # a symbol seen >= 11 times takes level 1 with nothing unseen beside it:
+    # the dual optimum is not attained (its price runs to -inf)
+    cases += [((14,), (1,)), ((2, 18), (1, 1)), ((1, 15), (2, 1))]
+    for freqs, counts in cases:
         p = Profile(freqs, counts)
         grid = build_discretization(max(p.n, 2))
         alloc, info = maximize_log_g(p, grid, return_info=True)
         assert info.converged and info.gap <= 1e-8
+        assert alloc.is_fractionally_feasible(1e-9)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("source", ["uniform", "zipf", "dirichlet"])
+def test_maximize_log_g_certifies_sampled_profiles(source, n):
+    # the paper's regime: n draws from a source on n/2 symbols, which gives
+    # k up to about sqrt(n) distinct frequencies (Zipf at n = 1000: k = 21-22)
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        size = n // 2
+        if source == "uniform":
+            q = np.full(size, 1.0 / size)
+        elif source == "zipf":
+            q = 1.0 / np.arange(1, size + 1)
+            q /= q.sum()
+        else:
+            q = rng.dirichlet(np.ones(size))
+        p = profile_of_sequence(sample_sequence(q, n, rng))
+        assert p.n == n and p.k <= 1.5 * math.sqrt(n)
+        grid = build_discretization(n)
+        start = time.process_time()
+        alloc, info = maximize_log_g(p, grid, return_info=True)
+        assert time.process_time() - start < 1.0
+        assert info.converged and info.gap <= 1e-8, (p, info)
         assert alloc.is_fractionally_feasible(1e-9)
 
 
