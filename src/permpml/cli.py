@@ -72,9 +72,13 @@ def _cmd_pml(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    result = approximate_pml(
-        profile, eps=args.eps, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter
-    )
+    try:
+        result = approximate_pml(
+            profile, eps=args.eps, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter
+        )
+    except ValueError as exc:  # e.g. a profile past the grouped-evaluation limits
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     _write(result.to_json(), args.out)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 

@@ -4,8 +4,10 @@ The pipeline: build the probability grid for the profile's sample count,
 maximize log g over the fractional feasible set, round to integral row sums
 with gamma = 1/sqrt(n), expand the result into a pseudo-distribution and
 normalize it.  The profile probability of the output is evaluated exactly
-through the level-grouped formula, which stays feasible even when the
-support is far beyond the permanent size limit.
+by the dynamic program of ``profile_probability_grouped``, whose cost
+depends on the profile's multiplicities and the number of distinct output
+values, not on the support size; an output past that function's limits
+raises its ValueError.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def approximate_pml(
     The discretization and the rounding threshold are tied to the sample
     count n (clamped to 2: a single sample still needs a two-point grid and
     gamma must stay below 1).  Solver non-convergence is flagged on the
-    result rather than raised.
+    result rather than raised; an output whose exact evaluation is past the
+    limits of profile_probability_grouped raises its ValueError.
     """
     n_eff = max(p.n, 2)
     grid = build_discretization(n_eff, eps)

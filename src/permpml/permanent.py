@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice, permutations
+from itertools import permutations
 
 import numpy as np
 
-NAIVE_LIMIT = 10
+NAIVE_LIMIT = 8
 RYSER_LIMIT = 24
 
-# Permutation index arrays are cached for small n; larger n stream in chunks.
+# Permutation index arrays are cached per n (8! rows at most).
 _PERM_CACHE: dict[int, np.ndarray] = {}
-_PERM_CACHE_MAX_N = 8
-_CHUNK = 40320
 
 
 def as_matrix(a) -> np.ndarray:
@@ -44,13 +42,12 @@ def _perm_indices(n: int) -> np.ndarray:
     idx = _PERM_CACHE.get(n)
     if idx is None:
         idx = np.array(list(permutations(range(n))), dtype=np.intp)
-        if n <= _PERM_CACHE_MAX_N:
-            _PERM_CACHE[n] = idx
+        _PERM_CACHE[n] = idx
     return idx
 
 
 def permanent_naive(a) -> float:
-    """Permanent by summation over all n! permutations (n <= 10).
+    """Permanent by summation over all n! permutations (n <= 8).
 
     The permutation products are accumulated with exact compensated
     summation (math.fsum), so the result is correctly rounded up to the
@@ -62,19 +59,8 @@ def permanent_naive(a) -> float:
         raise ValueError(f"permanent_naive limited to n <= {NAIVE_LIMIT}, got {n}")
     if n == 0:
         return 1.0
-    rows = np.arange(n)
-    if n <= _PERM_CACHE_MAX_N:
-        prods = m[rows, _perm_indices(n)].prod(axis=1)
-        return math.fsum(prods.tolist())
-    parts: list[float] = []
-    it = permutations(range(n))
-    while True:
-        chunk = list(islice(it, _CHUNK))
-        if not chunk:
-            break
-        prods = m[rows, np.array(chunk, dtype=np.intp)].prod(axis=1)
-        parts.append(math.fsum(prods.tolist()))
-    return math.fsum(parts)
+    prods = m[np.arange(n), _perm_indices(n)].prod(axis=1)
+    return math.fsum(prods.tolist())
 
 
 def permanent_ryser(a) -> float:

@@ -1,8 +1,9 @@
 """Three-stage rounding of a fractional allocation to integral row sums.
 
 Stage 1 floors the rows of probability value above gamma entrywise and floors
-each column's total over the low rows; stage 2 floors the remaining row sums;
-both stages re-deposit the shaved mass on freshly created probability values
+each column's total over the low rows; stage 2 floors the remaining row sums
+(in both, a sum within 1e-9 of an integer counts as that integer); both
+stages re-deposit the shaved mass on freshly created probability values
 (one per column, at the weighted mean of the removed mass).  Stage 3 rounds
 the fractional parts of the stage-2 diagonal rows with the structured
 rounding routine and divides every probability value by 1 + gamma so the
@@ -13,7 +14,6 @@ every row sum of the result is a non-negative integer.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +132,26 @@ def create_new_probability_values(b, c) -> AllocationMatrix:
     return AllocationMatrix(np.concatenate([levels, new_levels]), out, profile)
 
 
+def _snapped_floor(x: np.ndarray) -> np.ndarray:
+    """Floor, except that sums within 1e-9 of an integer count as that integer.
+
+    A column or row sum one ulp below an integer would otherwise lose a whole
+    unit to a freshly created probability value.
+    """
+    nearest = np.round(x)
+    return np.where(np.abs(x - nearest) <= 1e-9, nearest, np.floor(x))
+
+
+def _shrink_to_snapped_floor(x: np.ndarray) -> np.ndarray:
+    """Factors that scale the positive sums x down to their snapped floors.
+
+    A sum snapped up to an integer keeps its entries (factor 1): scaling
+    them up would put mass back where the stage may only remove it.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(x > 0, np.minimum(1.0, _snapped_floor(x) / np.where(x > 0, x, 1.0)), 0.0)
+
+
 def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     """Round a fractional allocation to integral row sums (three stages).
 
@@ -148,7 +168,7 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     entries = s.entries.copy()
     col0 = float(entries[:, 0].sum())
     if col0 > 0:
-        snapped = round(col0) if abs(col0 - round(col0)) <= 1e-9 else math.floor(col0)
+        snapped = float(_snapped_floor(col0))
         entries[:, 0] *= snapped / col0
     base = AllocationMatrix(s.levels, entries, s.profile)
     g_input = log_g(s.entries, s.levels, s.col_freqs)
@@ -159,10 +179,7 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     low = ~high
     a1 = np.zeros_like(entries)
     a1[high] = np.floor(entries[high])
-    low_cols = entries[low].sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(low_cols > 0, np.floor(low_cols) / np.where(low_cols > 0, low_cols, 1.0), 0.0)
-    a1[low] = entries[low] * scale[None, :]
+    a1[low] = entries[low] * _shrink_to_snapped_floor(entries[low].sum(axis=0))[None, :]
     stage1 = create_new_probability_values(base, a1)
 
     # Step 2: floor the row sums of the low rows
@@ -170,9 +187,7 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     rs1 = stage1.entries.sum(axis=1)
     a2 = stage1.entries.copy()
     lowmask = ~high1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        row_scale = np.where(rs1 > 0, np.floor(rs1) / np.where(rs1 > 0, rs1, 1.0), 0.0)
-    a2[lowmask] = stage1.entries[lowmask] * row_scale[lowmask, None]
+    a2[lowmask] = stage1.entries[lowmask] * _shrink_to_snapped_floor(rs1)[lowmask, None]
     stage2 = create_new_probability_values(stage1, a2)
 
     # Step 3: structured rounding of the fractional parts of the diagonal rows

@@ -61,6 +61,16 @@ def test_pml_validation_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pml_past_grouped_limits_exits_2(tmp_path, capsys):
+    # 21^5 states for the exact evaluation of the output: over the limit
+    pfile = tmp_path / "p.json"
+    pfile.write_text(Profile((1, 2, 3, 4, 5), (20,) * 5).to_json())
+    assert main(["pml", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grouped evaluation needs")
+
+
 def test_perm_compare_closed_forms(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(matrix_to_json(np.ones((2, 2))))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from permpml.profiles import (
     Profile,
     profile_of_sequence,
     profile_probability_grouped,
+    sample_sequence,
 )
 
 
@@ -32,6 +34,28 @@ def test_distribution_invariants():
         assert res.distribution.min() >= floor - 1e-15
         assert res.log_profile_probability > -math.inf
         assert res.params["k"] == profile_of_sequence(seq).k
+
+
+@pytest.mark.parametrize("n", [30, 50])
+@pytest.mark.parametrize("source", ["uniform", "zipf", "dirichlet"])
+def test_sampled_profiles_evaluate_quickly(source, n):
+    # the exact evaluation of the output used to enumerate allocation tables:
+    # at n = 50 a rounded output with 9 distinct values did not finish in 100 s
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        size = n // 2
+        if source == "uniform":
+            q = np.full(size, 1.0 / size)
+        elif source == "zipf":
+            q = 1.0 / np.arange(1, size + 1)
+            q /= q.sum()
+        else:
+            q = rng.dirichlet(np.ones(size))
+        p = profile_of_sequence(sample_sequence(q, n, rng))
+        start = time.process_time()
+        res = approximate_pml(p)
+        assert time.process_time() - start < 1.0
+        assert -math.inf < res.log_profile_probability < 0.0
 
 
 def test_oracle_point_mass():

@@ -1,11 +1,16 @@
 import itertools
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from permpml.permanent import log_permanent
+from permpml.permanent import NAIVE_LIMIT, log_permanent, permanent_naive
 from permpml.profiles import (
     Profile,
     check_pseudo_distribution,
@@ -179,6 +184,74 @@ def test_grouped_handles_large_supports():
     p = Profile((1, 2), (2, 1))
     val = profile_probability_grouped(q, p, 40 - p.observed)
     assert -math.inf < val < 0.0
+
+
+def test_grouped_matches_uniform_closed_form():
+    # uniform on N symbols: P = C_phi N!/(N - observed)! / prod_j phi_j! / N^n
+    for n_dom, freqs, counts in [(300, (1, 2, 3, 5), (9, 4, 2, 1)), (1000, (1, 2, 3, 4, 7), (20, 6, 3, 2, 1))]:
+        p = Profile(freqs, counts)
+        want = (
+            log_c_phi(p)
+            + gammaln(n_dom + 1)
+            - gammaln(n_dom - p.observed + 1)
+            - sum(gammaln(c + 1) for c in counts)
+            - p.n * math.log(n_dom)
+        )
+        got = profile_probability_grouped(np.full(n_dom, 1.0 / n_dom), p, n_dom - p.observed)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+@st.composite
+def few_level_cases(draw):
+    n_dom = draw(st.integers(1, NAIVE_LIMIT))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=3))
+    level_of = draw(st.lists(st.integers(0, len(values) - 1), min_size=n_dom, max_size=n_dom))
+    q = np.array(values)[level_of]
+    if q.sum() > 0:
+        q *= draw(st.floats(0.3, 1.0)) / q.sum()
+    symbol_counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=n_dom))
+    return q, profile_of_partition(symbol_counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_level_cases())
+def test_grouped_matches_permanent_formula_on_few_levels(case):
+    # the permanent formula with every permutation summed exactly: all its
+    # terms are positive, so it is accurate to a few ulps (Ryser's alternating
+    # sum is not on these matrices, whose columns differ by orders of size)
+    q, p = case
+    phi0 = len(q) - p.observed
+    perm = permanent_naive(profile_probability_matrix(q, p, phi0))
+    grouped = profile_probability_grouped(q, p, phi0)
+    if perm == 0.0:
+        assert grouped == -math.inf
+        return
+    counts = np.concatenate(([phi0], p.counts))
+    want = log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + math.log(perm)
+    assert grouped == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize(
+    "p, n_values",
+    [
+        (Profile(tuple(range(1, 11)), (30,) * 10), 1),  # 31^10 states
+        (Profile((1, 2), (500, 500)), 1000),  # 501^2 states, 1000 shifts each
+    ],
+)
+def test_grouped_guard_raises_before_allocating(p, n_values):
+    q = np.repeat(np.linspace(1.0, 2.0, n_values), -(-p.observed // n_values))
+    q = q / q.sum()
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with pytest.raises(ValueError, match="grouped evaluation"):
+            profile_probability_grouped(q, p, len(q) - p.observed)
+        elapsed = time.process_time() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 20 * q.nbytes + 100_000  # nothing of the size of the state
 
 
 def test_sample_sequence():

@@ -198,6 +198,31 @@ def test_round_allocation_structure_random():
         assert q.sum() <= 1 + 1e-9
 
 
+def test_round_allocation_snaps_sums_one_ulp_below_an_integer():
+    below_two = np.nextafter(2.0, 0.0)
+    # stage 1: a low-row column total one ulp below 2 is not floored to 1
+    p = Profile((1,), (2,))
+    alloc = AllocationMatrix(np.array([0.1]), np.array([[0.0, below_two]]), p)
+    trace = round_allocation(alloc, gamma=0.2)
+    assert trace.stage1.entries[1:].sum() == 0.0  # no mass moved to a new value
+    # a total snapped up from 1e-10 below 46 keeps its entries as they are
+    p = Profile((1,), (46,))
+    entries = np.array([[0.0, 23.0], [0.0, 23.0 - 1e-10]])
+    trace = round_allocation(AllocationMatrix(np.array([0.01, 0.005]), entries, p), gamma=0.2)
+    np.testing.assert_array_equal(trace.stage1.entries[:2], entries)
+    assert trace.stage1.entries[2:].sum() == 0.0
+    # stage 2: a row sum one ulp below 1 is not floored to 0
+    p = Profile((1, 2), (1, 1))
+    row = np.array([0.0, 0.7, np.nextafter(1.0, 0.0) - 0.7])
+    entries = np.array([row, [0.0, 1.0 - row[1], 1.0 - row[2]]])
+    assert entries[0].sum() < 1.0
+    alloc = AllocationMatrix(np.array([0.1, 0.05]), entries, p)
+    trace = round_allocation(alloc, gamma=0.2)
+    assert trace.stage2.entries[len(trace.stage1.levels) :].sum() == 0.0
+    for stage in (trace.stage1, trace.stage2, trace.final):
+        np.testing.assert_allclose(stage.column_sums()[1:], p.counts, atol=1e-9)
+
+
 def test_round_allocation_validation():
     p = Profile((1,), (1,))
     alloc = AllocationMatrix(np.array([0.5]), np.array([[0.0, 1.0]]), p)
