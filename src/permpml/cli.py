@@ -11,13 +11,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from permpml.approx import bethe_permanent, scaled_sinkhorn_permanent, sinkhorn_permanent
-from permpml.approx import block_ones_matrix, k_distinct_column_matrix
 from permpml.convex import G_MAX_ITER, G_TOL
 from permpml.estimator import approximate_pml, exact_pml_oracle
-from permpml.permanent import RYSER_LIMIT, log_permanent, matrix_from_json
+from permpml.permanent import log_permanent, matrix_from_json
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
 
 EXIT_OK = 0
@@ -92,40 +89,26 @@ def _cmd_perm_compare(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    record = _perm_compare_record(matrix, args.tol)
+    try:
+        exact = log_permanent(matrix)
+    except ValueError:  # past the limits of the exact dynamic program
+        exact = None
+    scaled = scaled_sinkhorn_permanent(matrix, args.tol).log_value
+    bethe = bethe_permanent(matrix).log_value
+    record = {
+        "n": matrix.shape[0],
+        "log_perm": exact,
+        "log_sinkhorn": sinkhorn_permanent(matrix, args.tol).log_value,
+        "log_scaled_sinkhorn": scaled,
+        "log_bethe": bethe,
+        "gap_bethe": exact - bethe if exact is not None else None,
+        "gap_scaled_sinkhorn": exact - scaled if exact is not None else None,
+    }
     if args.format == "json":
         _write(json.dumps(record), args.out)
     else:
-        _write(_record_csv(record), args.out)
+        _write(",".join(_fmt(v) for v in record.values()), args.out)
     return EXIT_OK
-
-
-_COMPARE_FIELDS = (
-    "n", "log_perm", "log_sinkhorn", "log_scaled_sinkhorn", "log_bethe",
-    "gap_bethe", "gap_scaled_sinkhorn",
-)
-
-
-def _perm_compare_record(matrix: np.ndarray, tol: float) -> dict:
-    n = matrix.shape[0]
-    exact = log_permanent(matrix) if n <= RYSER_LIMIT else None
-    sink = sinkhorn_permanent(matrix, tol)
-    scaled = scaled_sinkhorn_permanent(matrix, tol)
-    bethe = bethe_permanent(matrix)
-    return {
-        "n": n,
-        "log_perm": exact,
-        "log_sinkhorn": sink.log_value,
-        "log_scaled_sinkhorn": scaled.log_value,
-        "log_bethe": bethe.log_value,
-        "gap_bethe": exact - bethe.log_value if exact is not None else None,
-        "gap_scaled_sinkhorn": exact - scaled.log_value if exact is not None else None,
-    }
-
-
-def _record_csv(record: dict) -> str:
-    cells = [str(record["n"])] + [_fmt(record[f]) for f in _COMPARE_FIELDS[1:]]
-    return ",".join(cells)
 
 
 def _cmd_sample(args) -> int:
@@ -162,35 +145,6 @@ def _cmd_oracle_pml(args) -> int:
         ),
         args.out,
     )
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        if not sizes or any(s < 2 for s in sizes):
-            raise ValueError("sizes must be integers >= 2")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    rng = np.random.default_rng(args.seed)
-    records = []
-    for n in sizes:
-        for _ in range(args.count):
-            if args.kind == "random":
-                matrix = rng.uniform(0.01, 1.0, (n, n))
-            elif args.kind == "block":
-                matrix = block_ones_matrix(n, max(1, n // 3))
-            else:
-                matrix, _counts = k_distinct_column_matrix(
-                    n, min(3, n), int(rng.integers(1 << 30))
-                )
-            records.append(_perm_compare_record(matrix, args.tol))
-    if args.format == "json":
-        _write(json.dumps(records), args.out)
-    else:
-        rows = [",".join(_COMPARE_FIELDS)] + [_record_csv(rec) for rec in records]
-        _write("\n".join(rows), args.out)
     return EXIT_OK
 
 
@@ -235,16 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-support", type=int, default=None)
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=_cmd_oracle_pml)
-
-    p_bench = sub.add_parser("bench", help="permanent-approximation sweep as CSV")
-    p_bench.add_argument("--sizes", default="2,4,6")
-    p_bench.add_argument("--count", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--kind", choices=["random", "block", "kdistinct"], default="random")
-    p_bench.add_argument("--tol", type=float, default=1e-10)
-    p_bench.add_argument("--format", choices=["json", "csv"], default="csv")
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

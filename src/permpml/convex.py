@@ -319,14 +319,11 @@ def maximize_log_g(
     tol: float = G_TOL,
     max_iter: int = G_MAX_ITER,
     return_info: bool = False,
-    on_iteration=None,
 ):
     """Maximize log g over the fractional feasible set, certified by FW gap <= tol.
 
     Returns the AllocationMatrix (and a SolverInfo when return_info is set;
-    its `iterations` counts Newton steps, at most max_iter).  The interior
-    point iterates are not primal feasible, so `on_iteration`, when given,
-    receives one value: the objective of the returned matrix.
+    its `iterations` counts Newton steps, at most max_iter).
     """
     r = grid.values
     phi = np.array(profile.counts, dtype=float)
@@ -423,8 +420,6 @@ def maximize_log_g(
     grad = log_g_gradient(s_entries, r, m)
     gap = _linear_oracle(grad, r, phi) - float(np.sum(grad * s_entries))
     alloc = AllocationMatrix(r.copy(), s_entries, profile)
-    if on_iteration is not None:
-        on_iteration(alloc.log_g())
     if return_info:
         return alloc, SolverInfo(converged=gap <= tol, gap=gap, iterations=steps)
     return alloc

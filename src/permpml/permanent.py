@@ -1,8 +1,12 @@
-"""Exact permanents and doubly-stochastic predicates for small dense matrices.
+"""Exact permanents and doubly-stochastic predicates.
 
 These are the ground-truth oracles of the package: everything approximate is
-eventually checked against them, so they must never silently degrade.  Hard
-size guards keep the factorial/exponential costs inside a desk-scale budget.
+eventually checked against them, so they must never silently degrade.
+`permanent_naive` sums all n! permutation products (n <= 8) and is the
+reference of the tests.  `log_permanent` runs a log-domain dynamic program
+over the counts of each distinct column; the same program evaluates profile
+probabilities (`profiles.profile_probability_grouped`).  Hard limits on its
+states and work keep every call inside a desk-scale budget.
 """
 
 from __future__ import annotations
@@ -12,9 +16,15 @@ import math
 from itertools import permutations
 
 import numpy as np
+from scipy.special import gammaln
 
 NAIVE_LIMIT = 8
-RYSER_LIMIT = 24
+
+# Hard limits of log_coefficient: the count of DP states (each a float in a
+# few arrays of that size) and of state updates, states x k x shifts.  A
+# call at the work limit takes about 2 s of CPU.
+GROUPED_STATE_LIMIT = 1_000_000
+GROUPED_WORK_LIMIT = 100_000_000
 
 # Permutation index arrays are cached per n (8! rows at most).
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -63,61 +73,85 @@ def permanent_naive(a) -> float:
     return math.fsum(prods.tolist())
 
 
-def permanent_ryser(a) -> float:
-    """Permanent via Ryser's inclusion-exclusion with Gray-code updates (n <= 24).
+def _log_term(count: int, t: int, log_w0: float) -> float:
+    """log of C(count, t) w0^(count - t), the coefficient of u^t in (w0 + u)^count."""
+    rest = count - t
+    power = rest * log_w0 if rest else 0.0  # 0^0 = 1
+    return math.lgamma(count + 1) - math.lgamma(rest + 1) - math.lgamma(t + 1) + power
 
-    O(2^n * n) time.  The alternating signs can cancel catastrophically, so
-    the signed terms are accumulated with Kahan compensation.
+
+def log_coefficient(phi, log_w0, log_w, rho) -> float:
+    """log of the coefficient of y_1^phi_1 ... y_k^phi_k in prod_i (w_i0 + u_i)^{rho_i}.
+
+    u_i = sum_j w_ij y_j; the weights come as logs, log_w0[i] and
+    log_w[i, j].  The state is the log-domain coefficient array of shape
+    (phi_1+1, ..., phi_k+1), truncated at the target.  Factor i is applied
+    by Horner's rule over its binomial expansion,
+    acc <- C(rho_i, t) w_i0^{rho_i - t} coef + u_i acc for t = T_i down to
+    0, T_i = min(rho_i, phi_1 + ... + phi_k); each multiplication by u_i is
+    one unit shift, k slices that move every coefficient one step up axis
+    j.  All terms are positive, so nothing cancels.
+
+    Cost: prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.  A
+    call whose state count or work count (states x k x shifts) exceeds
+    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
+    state is allocated.
     """
-    m = as_matrix(a)
-    n = _require_square(m)
-    if n > RYSER_LIMIT:
-        raise ValueError(f"permanent_ryser limited to n <= {RYSER_LIMIT}, got {n}")
-    if n == 0:
-        return 1.0
-    cols = [np.ascontiguousarray(m[:, j]) for j in range(n)]
-    row = np.zeros(n)
-    total = 0.0
-    comp = 0.0
-    n_parity = n & 1
-    for s in range(1, 1 << n):
-        low = s & -s
-        j = low.bit_length() - 1
-        g = s ^ (s >> 1)
-        if g & low:
-            row += cols[j]
-        else:
-            row -= cols[j]
-        term = float(np.prod(row))
-        # (-1)^n (-1)^{|S|}: positive iff |S| and n share parity
-        if (g.bit_count() & 1) != n_parity:
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    k = len(phi)
+    phi = [int(c) for c in phi]
+    shape = tuple(c + 1 for c in phi)
+    powers = [min(int(c), sum(phi)) for c in rho]
+    states = math.prod(shape)
+    work = states * k * sum(powers)
+    if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
+        raise ValueError(
+            f"grouped evaluation needs {states} states and {work} slice updates, "
+            f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
+        )
+    everything = (slice(None),) * k
+    shifts = [
+        (
+            everything[:j] + (slice(1, None),) + everything[j + 1 :],
+            everything[:j] + (slice(None, -1),) + everything[j + 1 :],
+        )
+        for j in range(k)
+    ]
+    coef = np.full(shape, -math.inf)
+    coef[(0,) * k] = 0.0
+    for row, lw0, count, t_max in zip(log_w, log_w0, map(int, rho), powers):
+        acc = coef + _log_term(count, t_max, lw0)
+        for t in range(t_max - 1, -1, -1):
+            nxt = coef + _log_term(count, t, lw0)
+            for w, (dst, src) in zip(row, shifts):
+                np.logaddexp(nxt[dst], acc[src] + w, out=nxt[dst])
+            acc = nxt
+        coef = acc
+    return float(coef[(-1,) * k])
 
 
 def log_permanent(a) -> float:
-    """Natural log of the permanent; -inf for a zero permanent (n <= 24).
+    """Natural log of the permanent, exact; -inf for a zero permanent.
 
-    Rows are pre-scaled by their maxima so the Ryser recursion runs on
-    entries in [0, 1], which keeps intermediate products in range.
+    With phi_j copies of each distinct column c_j, perm(A) is prod_j phi_j!
+    times the coefficient of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.
+    Every monomial has degree N, so the column type of largest multiplicity
+    enters with y_0 = 1 and its power follows from the others; rho_i equal
+    rows contribute (c_i0 + u_i)^{rho_i}.  The coefficient is
+    `log_coefficient`'s: prod_{j>=1} (phi_j+1) states, exp(O(k log(N/k)))
+    for k distinct columns whatever N is.  A dense matrix with all columns
+    distinct has 2^(N-1) states and stops at N = 19 under the work limit.
     """
     m = as_matrix(a)
     n = _require_square(m)
-    if n > RYSER_LIMIT:
-        raise ValueError(f"log_permanent limited to n <= {RYSER_LIMIT}, got {n}")
     if n == 0:
         return 0.0
-    scale = m.max(axis=1)
-    if np.any(scale == 0.0):
-        return -math.inf
-    p = permanent_ryser(m / scale[:, None])
-    if p <= 0.0:
-        return -math.inf
-    return math.log(p) + float(np.sum(np.log(scale)))
+    cols, phi = np.unique(m, axis=1, return_counts=True)
+    order = np.argsort(-phi, kind="stable")
+    rows, rho = np.unique(cols[:, order], axis=0, return_counts=True)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(rows)
+    lc = log_coefficient(phi[order[1:]], log_c[:, 0].tolist(), log_c[:, 1:], rho)
+    return lc + float(np.sum(gammaln(phi + 1.0)))
 
 
 def is_doubly_stochastic(a, tol: float) -> bool:

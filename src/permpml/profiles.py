@@ -5,17 +5,20 @@ multiplicities; it forgets symbol identities.  The probability of observing a
 profile under a (pseudo-)distribution factors through the permanent of the
 profile probability matrix, which is what the whole pipeline approximates.
 
-Three independent evaluators of the same quantity live here:
+Three evaluators of the same quantity live here:
 
 * ``profile_probability_bruteforce`` enumerates raw sequences (tiny n only),
 * ``profile_probability_exact`` goes through the permanent formula,
-* ``profile_probability_grouped`` runs a dynamic program over the k observed
-  columns of the profile matrix, which has only k+1 distinct columns: its
-  prod_j (phi_j+1) states and sum_i min(rho_i, observed) shift steps (rho_i
-  the multiplicities of the distinct probability values) do not grow with
-  the number of unseen symbols, so it stays exact far beyond the permanent
-  size limit.  Calls past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raise
-  ValueError before any work is done.
+* ``profile_probability_grouped`` runs the dynamic program of
+  ``permanent.log_coefficient`` over the k observed columns of the profile
+  matrix, which has only k+1 distinct columns: its prod_j (phi_j+1) states
+  and sum_i min(rho_i, observed) shift steps (rho_i the multiplicities of
+  the distinct probability values) do not grow with the number of unseen
+  symbols.
+
+``profile_probability_exact`` and ``profile_probability_grouped`` share that
+program and its hard limits; calls past them raise ValueError before any
+work is done.
 """
 
 from __future__ import annotations
@@ -29,18 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from permpml.permanent import log_permanent
+from permpml.permanent import log_coefficient, log_permanent
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
 
 MASS_TOL = 1e-12
-
-# Hard limits of profile_probability_grouped: the count of DP states (each a
-# float in a few arrays of that size) and of state updates, states x k x
-# shifts.  A call at the work limit takes about 2 s of CPU.
-GROUPED_STATE_LIMIT = 1_000_000
-GROUPED_WORK_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ def profile_probability_exact(q, p: Profile, phi0: int) -> float:
     """log P(q, phi) via the permanent of the profile probability matrix."""
     a = profile_probability_matrix(q, p, phi0)
     counts = np.concatenate(([phi0], p.counts))
-    lp = log_permanent(a)  # enforces the Ryser size limit
-    return log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + lp
+    return log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + log_permanent(a)
 
 
 def profile_probability_bruteforce(q, p: Profile) -> float:
@@ -171,16 +167,11 @@ def profile_probability_grouped(q, p: Profile, phi0: int) -> float:
     coefficient of y_1^{phi_1} ... y_k^{phi_k} in
     prod_i (1 + sum_{j>=1} w_ij y_j)^{rho_i}.  The unseen column enters with
     y_0 = 1: every monomial has total degree rho_1 + ... + rho_L, so its
-    count is fixed by the others.  The state is the log-domain coefficient
-    array of shape (phi_1+1, ..., phi_k+1), truncated at the target; level i
-    multiplies it by sum_{t <= min(rho_i, observed)} C(rho_i, t) u_i^t with
-    u_i = sum_j w_ij y_j, one unit shift (k shifted slices) per power.
-
-    Cost: prod_j (phi_j+1) states and sum_i min(rho_i, observed) shifts of
-    k slices each, whatever phi0 and the domain size are.  A profile whose
-    state count or work count (states x k x shifts) exceeds
-    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
-    state is allocated.
+    count is fixed by the others.  `permanent.log_coefficient` computes the
+    coefficient: prod_j (phi_j+1) states and sum_i min(rho_i, observed)
+    shifts of k slices each, whatever phi0 and the domain size are.  A
+    profile past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError
+    before the state is allocated.
     """
     v = check_pseudo_distribution(q)
     if phi0 < 0:
@@ -191,39 +182,8 @@ def profile_probability_grouped(q, p: Profile, phi0: int) -> float:
     if n_zero > phi0:
         return -math.inf  # zero-probability symbols can only be unseen
     values, rho = np.unique(v[v > 0], return_counts=True)
-    powers = [min(int(c), p.observed) for c in rho]
-    shape = tuple(c + 1 for c in p.counts)
-    states = math.prod(shape)
-    work = states * p.k * sum(powers)
-    if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
-        raise ValueError(
-            f"grouped evaluation needs {states} states and {work} slice updates, "
-            f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
-        )
     log_w = np.log(values)[:, None] * np.asarray(p.freqs, dtype=float)[None, :]
-    # multiplying by y_j moves every coefficient one step up axis j
-    everything = (slice(None),) * p.k
-    shifts = [
-        (
-            everything[:j] + (slice(1, None),) + everything[j + 1 :],
-            everything[:j] + (slice(None, -1),) + everything[j + 1 :],
-        )
-        for j in range(p.k)
-    ]
-    coef = np.full(shape, -math.inf)
-    coef[(0,) * p.k] = 0.0
-    for row, count, t_max in zip(log_w, rho, powers):
-        t = np.arange(t_max + 1)
-        log_binom = gammaln(count + 1) - gammaln(count - t + 1) - gammaln(t + 1)
-        # Horner: acc <- C(rho, t) coef + u_i acc, for t = t_max down to 0
-        acc = coef + log_binom[t_max]
-        for b in log_binom[-2::-1]:
-            nxt = coef + b
-            for w, (dst, src) in zip(row, shifts):
-                np.logaddexp(nxt[dst], acc[src] + w, out=nxt[dst])
-            acc = nxt
-        coef = acc
-    return log_c_phi(p) + float(coef[(-1,) * p.k])
+    return log_c_phi(p) + log_coefficient(p.counts, [0.0] * len(values), log_w, rho)
 
 
 def sample_sequence(q, n: int, seed) -> list[str]:

@@ -50,6 +50,18 @@ class RoundingTrace:
         )
 
 
+def _push_drift(x: np.ndarray, a: int) -> None:
+    """Make the entries of x sum to the integer a, in place.
+
+    The float drift goes onto one entry: the one with most headroom below 1
+    when it is positive, the largest when it is negative.
+    """
+    drift = a - float(x.sum())
+    if drift != 0.0:
+        idx = int(np.argmax(1.0 - x)) if drift > 0 else int(np.argmax(x))
+        x[idx] += drift
+
+
 def structured_rounding(x, w, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Spread fractional weights x (summing to the integer a) onto unit rows.
 
@@ -75,12 +87,8 @@ def structured_rounding(x, w, a: int) -> tuple[np.ndarray, np.ndarray]:
     s_out = np.zeros(0, dtype=int)
     if a == 0:
         return z, s_out
-    # repair float drift so the cumulative sums hit a exactly; push the
-    # correction onto the entry with the most headroom
-    drift = a - total
-    if drift != 0.0:
-        idx = int(np.argmax(1.0 - xv)) if drift > 0 else int(np.argmax(xv))
-        xv[idx] += drift
+    # repair float drift so the cumulative sums hit a exactly
+    _push_drift(xv, a)
     order = np.argsort(-wv, kind="stable")
     xs = xv[order]
     cums = np.cumsum(xs)
@@ -197,7 +205,12 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     floors = np.floor(diag)
     frac = diag - floors
     frac[frac < 1e-12] = 0.0
+    # the parts sum to an integer by construction, up to a float drift that
+    # grows with the column sums (over 1e-9 at n = 10^4): remove it before
+    # structured rounding checks the sum
     a = int(round(float(frac.sum())))
+    if a > 0:
+        _push_drift(frac, a)
     z, _ = structured_rounding(frac, stage2.levels[t2:], a)
     final_entries = stage2.entries.copy()
     final_entries[t2:] = np.floor(stage2.entries[t2:]) + z

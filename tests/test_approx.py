@@ -14,7 +14,7 @@ from permpml.approx import (
     sinkhorn_permanent,
     sinkhorn_scale,
 )
-from permpml.permanent import is_doubly_stochastic, log_permanent, permanent_ryser
+from permpml.permanent import is_doubly_stochastic, log_permanent
 
 J2 = np.ones((2, 2))
 
@@ -120,7 +120,7 @@ def test_scaled_sinkhorn_all_ones_family():
     for n in range(2, 7):
         r = scaled_sinkhorn_permanent(np.ones((n, n)))
         assert r.log_value == pytest.approx(n * math.log(n) - n, abs=1e-9)
-        assert math.exp(r.log_value) <= permanent_ryser(np.ones((n, n))) + 1e-9
+        assert math.exp(r.log_value) <= math.exp(log_permanent(np.ones((n, n)))) + 1e-9
 
 
 def test_scaled_sinkhorn_lower_bounds_permanent():
@@ -141,9 +141,9 @@ def test_report_json():
 def test_bethe_j2_tight_case():
     r = bethe_permanent(J2)
     assert abs(math.exp(r.log_value) - 1.0) <= 1e-8
-    assert permanent_ryser(J2) == pytest.approx(2.0)
+    assert math.exp(log_permanent(J2)) == pytest.approx(2.0)
     # the ratio 2 meets the sqrt(2)^N worst case at N = 2
-    assert permanent_ryser(J2) / math.exp(r.log_value) == pytest.approx(
+    assert math.exp(log_permanent(J2)) / math.exp(r.log_value) == pytest.approx(
         math.sqrt(2) ** 2, abs=1e-7
     )
 
@@ -195,14 +195,14 @@ def test_block_ones_shapes():
     np.testing.assert_array_equal(block_ones_matrix(3, 3), np.eye(3))
     rem = block_ones_matrix(5, 2)
     assert rem[4, 4] == 1.0 and rem[4, :4].sum() == 0
-    assert permanent_ryser(rem) == pytest.approx(4.0)
+    assert math.exp(log_permanent(rem)) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         block_ones_matrix(3, 4)
 
 
 def test_block_ones_bethe_gap():
     e = block_ones_matrix(4, 2)
-    assert permanent_ryser(e) == pytest.approx(4.0)
+    assert math.exp(log_permanent(e)) == pytest.approx(4.0)
     assert bethe_permanent(e).log_value == pytest.approx(0.0, abs=1e-8)
 
 
@@ -254,4 +254,4 @@ def test_bregman_minc_on_sinkhorn_optimum():
         m, counts = k_distinct_column_matrix(n, k, seed=int(rng.integers(1 << 30)))
         q = sinkhorn_scale(m).q
         bound = float(np.sum(gammaln(counts + 1) - counts * np.log(counts)))
-        assert math.log(permanent_ryser(q)) <= bound + 1e-9
+        assert log_permanent(q) <= bound + 1e-9

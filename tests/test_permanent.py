@@ -1,18 +1,20 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpml.approx import block_ones_matrix
 from permpml.permanent import (
     is_doubly_stochastic,
     log_permanent,
     matrix_from_json,
     matrix_to_json,
     permanent_naive,
-    permanent_ryser,
 )
 
 
@@ -36,29 +38,23 @@ def test_naive_guards():
         permanent_naive([[np.inf, 1.0], [0.0, 1.0]])
 
 
-def test_ryser_identity_and_ones():
-    assert permanent_ryser(np.eye(4)) == pytest.approx(1.0)
-    assert permanent_ryser(np.ones((2, 2))) == pytest.approx(2.0)
+def perm(m) -> float:
+    return math.exp(log_permanent(m))
 
 
-def test_ryser_guard():
-    with pytest.raises(ValueError):
-        permanent_ryser(np.ones((25, 25)))
-
-
-def test_ryser_matches_naive_random_6x6():
+def test_log_permanent_matches_naive_random_6x6():
     rng = np.random.default_rng(11)
     for _ in range(100):
         m = rng.random((6, 6))
         exact = permanent_naive(m)
-        assert permanent_ryser(m) == pytest.approx(exact, rel=1e-12)
+        assert perm(m) == pytest.approx(exact, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10_000))
-def test_ryser_matches_naive_property(n, seed):
+def test_log_permanent_matches_naive_property(n, seed):
     m = np.random.default_rng(seed).random((n, n))
-    assert permanent_ryser(m) == pytest.approx(permanent_naive(m), rel=1e-12)
+    assert perm(m) == pytest.approx(permanent_naive(m), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,9 +63,9 @@ def test_permutation_invariance(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.random((n, n))
     p = rng.permutation(n)
-    base = permanent_ryser(m)
-    assert permanent_ryser(m[p, :]) == pytest.approx(base, rel=1e-12)
-    assert permanent_ryser(m[:, p]) == pytest.approx(base, rel=1e-12)
+    base = perm(m)
+    assert perm(m[p, :]) == pytest.approx(base, rel=1e-12)
+    assert perm(m[:, p]) == pytest.approx(base, rel=1e-12)
 
 
 def test_row_scaling_multiplies():
@@ -77,7 +73,7 @@ def test_row_scaling_multiplies():
     m = rng.random((5, 5))
     scaled = m.copy()
     scaled[2] *= 7.5
-    assert permanent_ryser(scaled) == pytest.approx(7.5 * permanent_ryser(m), rel=1e-12)
+    assert perm(scaled) == pytest.approx(7.5 * perm(m), rel=1e-12)
 
 
 def test_block_diagonal_product():
@@ -87,12 +83,12 @@ def test_block_diagonal_product():
     m = np.zeros((7, 7))
     m[:3, :3] = a
     m[3:, 3:] = b
-    assert permanent_ryser(m) == pytest.approx(
-        permanent_ryser(a) * permanent_ryser(b), rel=1e-10
-    )
+    assert perm(m) == pytest.approx(perm(a) * perm(b), rel=1e-10)
 
 
 def test_log_permanent_values():
+    assert perm(np.eye(4)) == pytest.approx(1.0)
+    assert perm(np.ones((2, 2))) == pytest.approx(2.0)
     assert log_permanent(np.ones((3, 3))) == pytest.approx(math.log(6))
     assert log_permanent(np.zeros((2, 2))) == -math.inf
     assert log_permanent(np.full((5, 5), 0.5)) == pytest.approx(
@@ -100,9 +96,28 @@ def test_log_permanent_values():
     )
 
 
+def test_log_permanent_closed_forms_at_large_n():
+    # few distinct columns: the cost does not grow with N
+    assert log_permanent(np.ones((200, 200))) == pytest.approx(math.lgamma(201), rel=1e-14)
+    assert log_permanent(block_ones_matrix(100, 2)) == pytest.approx(
+        2 * math.lgamma(51), rel=1e-14
+    )
+
+
 def test_log_permanent_guard():
-    with pytest.raises(ValueError):
-        log_permanent(np.ones((25, 25)))
+    # all columns distinct: 2^(N-1) states, past the work limit at N = 20
+    m = np.random.default_rng(20).random((20, 20))
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with pytest.raises(ValueError, match="grouped evaluation"):
+            log_permanent(m)
+        elapsed = time.process_time() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 20 * m.nbytes + 100_000  # nothing of the size of the state
 
 
 def test_is_doubly_stochastic():

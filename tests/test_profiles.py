@@ -217,18 +217,32 @@ def few_level_cases(draw):
 @given(few_level_cases())
 def test_grouped_matches_permanent_formula_on_few_levels(case):
     # the permanent formula with every permutation summed exactly: all its
-    # terms are positive, so it is accurate to a few ulps (Ryser's alternating
-    # sum is not on these matrices, whose columns differ by orders of size)
+    # terms are positive, so it is accurate to a few ulps on these matrices,
+    # whose columns differ by orders of size
     q, p = case
     phi0 = len(q) - p.observed
     perm = permanent_naive(profile_probability_matrix(q, p, phi0))
     grouped = profile_probability_grouped(q, p, phi0)
+    exact = profile_probability_exact(q, p, phi0)
     if perm == 0.0:
-        assert grouped == -math.inf
+        assert grouped == -math.inf and exact == -math.inf
         return
     counts = np.concatenate(([phi0], p.counts))
     want = log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + math.log(perm)
     assert grouped == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+    assert exact == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+
+
+def test_exact_on_levels_orders_of_size_apart():
+    # an alternating-sign permanent (Ryser's) cancels every digit here: it
+    # gave -15.9 for a log probability of -34.6 (and -inf for others)
+    q = np.array([0.5, 0.01, 0.01, 0.01, 0.01, 0.01])
+    p = Profile((1, 3, 4), (1, 1, 3))
+    exact = profile_probability_exact(q, p, 1)
+    perm = permanent_naive(profile_probability_matrix(q, p, 1))
+    want = log_c_phi(p) - float(np.sum(gammaln(np.array([1, 1, 1, 3]) + 1))) + math.log(perm)
+    assert exact == pytest.approx(want, rel=1e-12)
+    assert exact == pytest.approx(profile_probability_grouped(q, p, 1), rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from permpml.convex import (
     maximize_log_g,
     pseudo_distribution_of,
 )
-from permpml.profiles import Profile
+from permpml.profiles import Profile, profile_of_sequence, sample_sequence
 from permpml.rounding import (
     create_new_probability_values,
     round_allocation,
@@ -221,6 +221,21 @@ def test_round_allocation_snaps_sums_one_ulp_below_an_integer():
     assert trace.stage2.entries[len(trace.stage1.levels) :].sum() == 0.0
     for stage in (trace.stage1, trace.stage2, trace.final):
         np.testing.assert_allclose(stage.column_sums()[1:], p.counts, atol=1e-9)
+
+
+def test_round_allocation_at_n_10000():
+    # 10^4 draws from a Zipf source on 5000 symbols (k = 57): the fractional
+    # parts that stage 3 hands to structured rounding summed to 6 + 1.1e-9,
+    # past its 1e-9 check
+    n = 10_000
+    rng = np.random.default_rng([n, 2, 7])
+    q = 1.0 / np.arange(1, n // 2 + 1)
+    p = profile_of_sequence(sample_sequence(q / q.sum(), n, rng))
+    assert p.k == 57
+    trace = round_allocation(maximize_log_g(p, build_discretization(n)), 1.0 / math.sqrt(n))
+    np.testing.assert_allclose(trace.final.column_sums()[1:], p.counts, atol=1e-9)
+    assert trace.final.has_integral_row_sums()
+    assert pseudo_distribution_of(trace.final).sum() <= 1 + 1e-9
 
 
 def test_round_allocation_validation():
