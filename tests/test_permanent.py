@@ -86,9 +86,19 @@ def test_block_diagonal_product():
     assert perm(m) == pytest.approx(perm(a) * perm(b), rel=1e-10)
 
 
-def test_log_permanent_values():
+def test_ryser_identity_and_ones():
+    # the exact permanent is log_permanent; these are the checks once made of Ryser's formula
     assert perm(np.eye(4)) == pytest.approx(1.0)
     assert perm(np.ones((2, 2))) == pytest.approx(2.0)
+
+
+def test_ryser_guard():
+    # N = 25 with all columns distinct is past the exact permanent's limits
+    with pytest.raises(ValueError):
+        log_permanent(np.random.default_rng(25).random((25, 25)))
+
+
+def test_log_permanent_values():
     assert log_permanent(np.ones((3, 3))) == pytest.approx(math.log(6))
     assert log_permanent(np.zeros((2, 2))) == -math.inf
     assert log_permanent(np.full((5, 5), 0.5)) == pytest.approx(
