@@ -166,10 +166,8 @@ def scaled_sinkhorn_permanent(a, tol: float = SINKHORN_TOL, max_iter: int = SINK
 
 
 def _bethe_gradient(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray:
-    qc = np.clip(qm, _TINY, None)
-    one_m = np.clip(1.0 - qm, _TINY, None)
-    g = np.where(support, np.log(np.where(support, am, 1.0)) - np.log(qc) - np.log(one_m) - 2.0, 0.0)
-    return g
+    q = np.clip(qm, _TINY, 1.0 - 1e-16)
+    return np.where(support, np.log(np.where(support, am, 1.0)) - np.log(q) - np.log1p(-q) - 2.0, 0.0)
 
 
 def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray | None:
@@ -203,40 +201,35 @@ def _line_search_concave(deriv, t_max: float, iters: int = 70) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bethe_newton_direction(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray | None:
+def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
     """Equality-constrained Newton step for F on the support entries.
 
-    The coordinate-wise Hessian of F, diag(-1/Q + 1/(1-Q)), is indefinite; F
-    is concave only on the doubly stochastic affine slice, so the step comes
-    from the full KKT system with the marginal constraints (one column
-    constraint dropped for rank).  Returns the full-matrix step, or None when
-    the system is singular.
+    The Hessian of F is diagonal on the support, h = -1/Q + 1/(1-Q), and
+    indefinite: F is concave only on the doubly stochastic affine slice.
+    With w = 1/h the step is d = -(g + a_i + b_j) w, and the marginal
+    constraints on d leave a (2N-1)-dim system for the row and column
+    multipliers a, b (the last column's b fixed at 0 for rank).  Returns the
+    full-matrix step, or None when some Q = 1/2 (w infinite) or the system
+    is singular.
     """
-    n = am.shape[0]
-    rows, cols = np.where(support)
-    ne = rows.size
-    q = np.clip(qm[rows, cols], _TINY, 1.0 - 1e-16)
-    g = np.log(am[rows, cols]) - np.log(q) - np.log1p(-q) - 2.0
-    h = -1.0 / q + 1.0 / (1.0 - q)
-    nc = 2 * n - 1
-    kkt = np.zeros((ne + nc, ne + nc))
-    kkt[np.arange(ne), np.arange(ne)] = h
-    arange_e = np.arange(ne)
-    kkt[arange_e, ne + rows] = 1.0
-    kkt[ne + rows, arange_e] = 1.0
-    keep = cols < n - 1
-    kkt[arange_e[keep], ne + n + cols[keep]] = 1.0
-    kkt[ne + n + cols[keep], arange_e[keep]] = 1.0
+    n = qm.shape[0]
+    q = np.clip(qm, _TINY, 1.0 - 1e-16)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(support, q * (1.0 - q) / (2.0 * q - 1.0), 0.0)
+    if not np.all(np.isfinite(w)):
+        return None
+    gw = grad * w
+    wc = w[:, : n - 1]
+    schur = np.block([[np.diag(w.sum(axis=1)), wc], [wc.T, np.diag(wc.sum(axis=0))]])
     rhs = np.concatenate(
-        [-g, 1.0 - qm.sum(axis=1), (1.0 - qm.sum(axis=0))[: n - 1]]
+        [qm.sum(axis=1) - 1.0 - gw.sum(axis=1), (qm.sum(axis=0) - 1.0 - gw.sum(axis=0))[: n - 1]]
     )
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        mult = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError:
         return None
-    delta = np.zeros_like(qm)
-    delta[rows, cols] = sol[:ne]
-    return delta
+    b = np.append(mult[n:], 0.0)
+    return -(grad + mult[:n, None] + b[None, :]) * w
 
 
 def bethe_permanent(a, tol: float = BETHE_TOL, max_iter: int = BETHE_MAX_ITER, on_iteration=None) -> ApproximationReport:
@@ -276,7 +269,7 @@ def bethe_permanent(a, tol: float = BETHE_TOL, max_iter: int = BETHE_MAX_ITER, o
         noise = 1e-12 * (1.0 + abs(f_cur))
         accepted = False
         if allow_newton:
-            delta = _bethe_newton_direction(am, qm, support)
+            delta = _bethe_newton_direction(qm, support, grad)
             # a sane Newton step never exceeds the polytope diameter; huge
             # steps are the ill-conditioned boundary regime, FW's territory
             if delta is not None and np.any(delta) and np.abs(delta).max() <= n:

@@ -39,15 +39,10 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _cmd_profile(args) -> int:
-    try:
-        with open(args.seq_file) as fh:
-            tokens = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.seq_file) as fh:
+        tokens = [line.strip() for line in fh if line.strip()]
     if not tokens:
-        print("error: empty input sequence", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("empty input sequence")
     _write(profile_of_sequence(tokens).to_json(), args.out)
     return EXIT_OK
 
@@ -58,37 +53,25 @@ def _load_profile(path: str) -> Profile:
 
 
 def _cmd_pml(args) -> int:
-    try:
-        profile = _load_profile(args.profile_file)
-        if args.gamma is not None and not 0.0 < args.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if args.eps is not None and not 0.0 < args.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if args.tol <= 0:
-            raise ValueError("tol must be positive")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = approximate_pml(
-            profile, eps=args.eps, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter
-        )
-    except ValueError as exc:  # e.g. a profile past the grouped-evaluation limits
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    profile = _load_profile(args.profile_file)
+    if args.gamma is not None and not 0.0 < args.gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if args.eps is not None and not 0.0 < args.eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if args.tol <= 0:
+        raise ValueError("tol must be positive")
+    result = approximate_pml(
+        profile, eps=args.eps, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter
+    )
     _write(result.to_json(), args.out)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
 def _cmd_perm_compare(args) -> int:
-    try:
-        with open(args.matrix_file) as fh:
-            matrix = matrix_from_json(fh.read())
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("matrix must be square")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.matrix_file) as fh:
+        matrix = matrix_from_json(fh.read())
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square")
     try:
         exact = log_permanent(matrix)
     except ValueError:  # past the limits of the exact dynamic program
@@ -112,29 +95,19 @@ def _cmd_perm_compare(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    try:
-        with open(args.dist_file) as fh:
-            obj = json.loads(fh.read())
-        probs = obj["probs"] if isinstance(obj, dict) else obj
-        if args.n <= 0:
-            raise ValueError("n must be positive")
-        seq = sample_sequence(probs, args.n, args.seed)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.dist_file) as fh:
+        obj = json.loads(fh.read())
+    probs = obj["probs"] if isinstance(obj, dict) else obj
+    if args.n <= 0:
+        raise ValueError("n must be positive")
+    seq = sample_sequence(probs, args.n, args.seed)
     _write("\n".join(seq), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle_pml(args) -> int:
-    try:
-        profile = _load_profile(args.profile_file)
-        q, logp = exact_pml_oracle(
-            profile, max_support=args.max_support, grid_step=args.grid_step
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    profile = _load_profile(args.profile_file)
+    q, logp = exact_pml_oracle(profile, max_support=args.max_support, grid_step=args.grid_step)
     _write(
         json.dumps(
             {
@@ -195,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -77,7 +77,8 @@ def _log_term(count: int, t: int, log_w0: float) -> float:
     """log of C(count, t) w0^(count - t), the coefficient of u^t in (w0 + u)^count."""
     rest = count - t
     power = rest * log_w0 if rest else 0.0  # 0^0 = 1
-    return math.lgamma(count + 1) - math.lgamma(rest + 1) - math.lgamma(t + 1) + power
+    # the exact integer C(count, t): lgamma differences cancel at count ~ 10^5-10^6
+    return math.log(math.comb(count, t)) + power
 
 
 def log_coefficient(phi, log_w0, log_w, rho) -> float:

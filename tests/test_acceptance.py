@@ -134,7 +134,7 @@ def test_criterion_05_distinct_column_bound():
         assert log_permanent(a) <= bound
     # far past N = 24, with the sandwich scaled Sinkhorn <= Bethe <= perm <= Sinkhorn
     slack = math.log(1 + 1e-6)
-    large = [(24, 2), (24, 4), (30, 3), (36, 3), (36, 4)]
+    large = [(24, 2), (24, 4), (30, 3), (36, 3), (36, 4), (60, 5), (100, 4), (150, 3), (200, 3)]
     for n, k in large:
         a, counts = k_distinct_column_matrix(n, k, seed=int(rng.integers(1 << 30)))
         lp = log_permanent(a)
@@ -146,7 +146,7 @@ def test_criterion_05_distinct_column_bound():
         assert bp.log_value <= lp + slack
         assert lp <= sinkhorn_permanent(a).log_value + slack
     print(
-        f"\nPASS criterion 5: {100 + len(large)} distinct-column matrices (N <= 36) satisfy "
+        f"\nPASS criterion 5: {100 + len(large)} distinct-column matrices (N <= 200) satisfy "
         "the multiplicity bound and the sandwich"
     )
 

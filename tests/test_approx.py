@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_block_ones_bethe_gap():
     e = block_ones_matrix(4, 2)
     assert math.exp(log_permanent(e)) == pytest.approx(4.0)
     assert bethe_permanent(e).log_value == pytest.approx(0.0, abs=1e-8)
+
+
+def test_bethe_memory_is_quadratic():
+    # the Newton step solves for 2N - 1 multipliers: no array of N^4 entries
+    a, _ = k_distinct_column_matrix(60, 4, seed=60)
+    tracemalloc.start()
+    try:
+        report = bethe_permanent(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 10_000_000
 
 
 def test_lower_bound_gap_growth():

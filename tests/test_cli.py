@@ -158,3 +158,29 @@ def test_perm_compare_past_exact_limits(tmp_path, capsys):
     code, out = run(capsys, ["perm-compare", str(mfile)])
     cells = out.strip().split(",")
     assert cells[0] == "20" and cells[1] == "" and cells[5] == ""
+
+
+def test_perm_compare_zero_row_exits_2(tmp_path, capsys):
+    m = np.ones((3, 3))
+    m[1] = 0.0
+    mfile = tmp_path / "m.json"
+    mfile.write_text(matrix_to_json(m))
+    assert main(["perm-compare", str(mfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_perm_compare_missing_rows_exits_2(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"cols": 2, "data": [1.0, 1.0, 1.0, 1.0]}))
+    assert main(["perm-compare", str(mfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_oracle_pml_missing_freqs_exits_2(tmp_path, capsys):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"counts": [1]}))
+    assert main(["oracle-pml", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
