@@ -162,8 +162,9 @@ class AllocationMatrix:
         )
 
     def has_integral_row_sums(self, tol: float = 1e-9) -> bool:
+        """Every row sum within tol of an integer, relative to the row sum past 1."""
         rs = self.row_sums()
-        return bool(np.all(np.abs(rs - np.round(rs)) <= tol))
+        return bool(np.all(np.abs(rs - np.round(rs)) <= tol * np.maximum(1.0, np.abs(rs))))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -427,11 +428,9 @@ def maximize_log_g(
 
 def pseudo_distribution_of(alloc: AllocationMatrix) -> np.ndarray:
     """Expand integral row sums into a vector with rowsum_i copies of level r_i."""
-    rs = alloc.row_sums()
-    rounded = np.round(rs)
-    if np.any(np.abs(rs - rounded) > 1e-9):
+    if not alloc.has_integral_row_sums():
         raise ValueError("row sums must be integral within 1e-9")
-    counts = rounded.astype(int)
+    counts = np.round(alloc.row_sums()).astype(int)
     if np.any((counts > 0) & (alloc.levels <= 0)):
         raise ValueError("positive counts on a zero probability level")
     probs = np.repeat(alloc.levels, counts)

@@ -4,9 +4,10 @@ These are the ground-truth oracles of the package: everything approximate is
 eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
 reference of the tests.  `log_permanent` runs a log-domain dynamic program
-over the counts of each distinct column; the same program evaluates profile
-probabilities (`profiles.profile_probability_grouped`).  Hard limits on its
-states and work keep every call inside a desk-scale budget.
+over the counts of each distinct column, on each connected component of the
+matrix; the same program evaluates profile probabilities
+(`profiles.profile_probability_grouped`), one or a batch at a time.  Hard
+limits on its states and work keep every call inside a desk-scale budget.
 """
 
 from __future__ import annotations
@@ -81,7 +82,21 @@ def _log_term(count: int, t: int, log_w0: float) -> float:
     return math.log(math.comb(count, t)) + power
 
 
-def log_coefficient(phi, log_w0, log_w, rho) -> float:
+def _row_cost(phi, rho) -> tuple[int, int]:
+    """States and slice updates of one row of `log_coefficient`."""
+    phi = [int(c) for c in phi]
+    states = math.prod(c + 1 for c in phi)
+    return states, states * len(phi) * sum(min(int(c), sum(phi)) for c in rho)
+
+
+def batch_capacity(phi, rho) -> int:
+    """Largest batch of `log_coefficient` rows of this (phi, rho) within both
+    limits; 0 if one row is past them."""
+    states, work = _row_cost(phi, rho)
+    return min(GROUPED_STATE_LIMIT // states, GROUPED_WORK_LIMIT // max(work, 1))
+
+
+def log_coefficient(phi, log_w0, log_w, rho):
     """log of the coefficient of y_1^phi_1 ... y_k^phi_k in prod_i (w_i0 + u_i)^{rho_i}.
 
     u_i = sum_j w_ij y_j; the weights come as logs, log_w0[i] and
@@ -93,59 +108,106 @@ def log_coefficient(phi, log_w0, log_w, rho) -> float:
     one unit shift, k slices that move every coefficient one step up axis
     j.  All terms are positive, so nothing cancels.
 
-    Cost: prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.  A
-    call whose state count or work count (states x k x shifts) exceeds
-    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
-    state is allocated.
+    log_w may carry a leading batch axis, shape (B, L, k): the B rows share
+    phi, log_w0 and rho, run as one program on a state with a leading axis
+    of B, and the result is an array of B values instead of a float.
+
+    Cost: B prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.
+    A call whose state count or work count (states x k x shifts), batch
+    included, exceeds GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises
+    ValueError before the state is allocated; `batch_capacity` is the
+    largest B that fits.
     """
+    log_w = np.asarray(log_w, dtype=float)
+    batched = log_w.ndim == 3
+    if not batched:
+        log_w = log_w[None]
+    batch = log_w.shape[0]
     k = len(phi)
     phi = [int(c) for c in phi]
     shape = tuple(c + 1 for c in phi)
     powers = [min(int(c), sum(phi)) for c in rho]
-    states = math.prod(shape)
-    work = states * k * sum(powers)
+    states, work = (batch * c for c in _row_cost(phi, rho))
     if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
         raise ValueError(
             f"grouped evaluation needs {states} states and {work} slice updates, "
             f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
         )
-    everything = (slice(None),) * k
+    everything = (slice(None),) * (k + 1)
     shifts = [
         (
-            everything[:j] + (slice(1, None),) + everything[j + 1 :],
-            everything[:j] + (slice(None, -1),) + everything[j + 1 :],
+            everything[: j + 1] + (slice(1, None),) + everything[j + 2 :],
+            everything[: j + 1] + (slice(None, -1),) + everything[j + 2 :],
         )
         for j in range(k)
     ]
-    coef = np.full(shape, -math.inf)
-    coef[(0,) * k] = 0.0
-    for row, lw0, count, t_max in zip(log_w, log_w0, map(int, rho), powers):
+    # w[i][j] is log w_ij of every row, shaped to broadcast against the state
+    w = np.moveaxis(log_w, 0, -1).reshape(log_w.shape[1:] + (batch,) + (1,) * k)
+    coef = np.full((batch,) + shape, -math.inf)
+    coef[(slice(None),) + (0,) * k] = 0.0
+    for row, lw0, count, t_max in zip(w, log_w0, map(int, rho), powers):
         acc = coef + _log_term(count, t_max, lw0)
         for t in range(t_max - 1, -1, -1):
             nxt = coef + _log_term(count, t, lw0)
-            for w, (dst, src) in zip(row, shifts):
-                np.logaddexp(nxt[dst], acc[src] + w, out=nxt[dst])
+            for wj, (dst, src) in zip(row, shifts):
+                np.logaddexp(nxt[dst], acc[src] + wj, out=nxt[dst])
             acc = nxt
         coef = acc
-    return float(coef[(-1,) * k])
+    out = coef[(slice(None),) + (-1,) * k]
+    return out if batched else float(out[0])
 
 
 def log_permanent(a) -> float:
     """Natural log of the permanent, exact; -inf for a zero permanent.
 
-    With phi_j copies of each distinct column c_j, perm(A) is prod_j phi_j!
-    times the coefficient of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.
+    The permanent is the product over the connected components of the
+    bipartite graph of the nonzero entries (rows and columns its vertices),
+    and zero if a component has more rows than columns or fewer; a
+    connected matrix is the one-component case.  Within a component with
+    phi_j copies of each distinct column c_j, perm is prod_j phi_j! times
+    the coefficient of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.
     Every monomial has degree N, so the column type of largest multiplicity
     enters with y_0 = 1 and its power follows from the others; rho_i equal
     rows contribute (c_i0 + u_i)^{rho_i}.  The coefficient is
     `log_coefficient`'s: prod_{j>=1} (phi_j+1) states, exp(O(k log(N/k)))
-    for k distinct columns whatever N is.  A dense matrix with all columns
-    distinct has 2^(N-1) states and stops at N = 19 under the work limit.
+    for k distinct columns whatever N is.  A dense component with all
+    columns distinct has 2^(N-1) states and stops at N = 19 under the work
+    limit; a sparse matrix stops only when one of its components does.
     """
     m = as_matrix(a)
-    n = _require_square(m)
-    if n == 0:
-        return 0.0
+    _require_square(m)
+    total = 0.0
+    for rows, cols in _components(m > 0):
+        if len(rows) != len(cols):
+            return -math.inf
+        total += _log_permanent_connected(m[np.ix_(rows, cols)])
+    return total
+
+
+def _components(support: np.ndarray):
+    """Sorted row and column indices of each connected component of the
+    bipartite graph of a square 0/1 matrix, grown breadth-first from its
+    first unplaced row.  Every row lies in one; a zero column lies in none.
+    """
+    n = len(support)
+    row_seen = np.zeros(n, dtype=bool)
+    col_seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if row_seen[start]:
+            continue
+        row_seen[start] = True
+        rows, cols = [np.array([start])], []
+        while len(rows[-1]):
+            new_cols = np.flatnonzero(support[rows[-1]].any(axis=0) & ~col_seen)
+            col_seen[new_cols] = True
+            new_rows = np.flatnonzero(support[:, new_cols].any(axis=1) & ~row_seen)
+            row_seen[new_rows] = True
+            cols.append(new_cols)
+            rows.append(new_rows)
+        yield np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))
+
+
+def _log_permanent_connected(m: np.ndarray) -> float:
     cols, phi = np.unique(m, axis=1, return_counts=True)
     order = np.argsort(-phi, kind="stable")
     rows, rho = np.unique(cols[:, order], axis=0, return_counts=True)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from permpml import estimator, permanent
 from permpml.estimator import (
     PmlResult,
     approximate_pml,
@@ -91,6 +92,64 @@ def test_oracle_guards():
         exact_pml_oracle(Profile((1,), (2,)), max_support=9)
     with pytest.raises(ValueError):
         exact_pml_oracle(Profile((1,), (2,)), grid_step=0.03)
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _profile_of_counts(counts):
+    freqs = sorted(set(counts))
+    return Profile(tuple(freqs), tuple(counts.count(f) for f in freqs))
+
+
+def _oracle_one_by_one(p, grid_step):
+    # the oracle's search, one profile_probability_grouped call per candidate
+    units = round(1.0 / grid_step)
+    best_q, best = None, -math.inf
+    for support in range(p.observed, min(6, 2 * p.observed) + 1):
+        for part in _partitions(units, units):
+            if len(part) != support:
+                continue
+            q = np.array(part, dtype=float) * grid_step
+            val = profile_probability_grouped(q, p, support - p.observed)
+            if val > best:
+                best, best_q = val, q
+    return best_q, best
+
+
+@pytest.mark.parametrize("grid_step", [0.05, 0.1])
+def test_oracle_matches_one_by_one_search(grid_step):
+    for n in range(1, 6):
+        for counts in _partitions(n, n):
+            p = _profile_of_counts(list(counts))
+            q, best = exact_pml_oracle(p, grid_step=grid_step)
+            ref_q, ref_best = _oracle_one_by_one(p, grid_step)
+            assert q.tobytes() == ref_q.tobytes()
+            assert best == ref_best
+
+
+def test_oracle_chunks_past_the_work_limit(monkeypatch):
+    p = Profile((1, 2), (2, 1))
+    expected_q, expected = exact_pml_oracle(p, grid_step=0.05)
+    batches = []
+
+    def spy(phi, log_w0, log_w, rho):
+        batches.append(log_w.shape[:2])
+        return permanent.log_coefficient(phi, log_w0, log_w, rho)
+
+    monkeypatch.setattr(estimator, "log_coefficient", spy)
+    # a candidate of support s: 3 x 2 states, 2 slices per shift, s shifts
+    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 720)
+    q, best = exact_pml_oracle(p, grid_step=0.05)
+    assert q.tobytes() == expected_q.tobytes() and best == expected
+    assert all(rows * 12 * support <= 720 for rows, support in batches)
+    assert batches.count((10, 6)) > 1
 
 
 def test_oracle_never_loses_to_injected_candidate():

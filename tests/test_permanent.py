@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpml.approx import block_ones_matrix
+from permpml import permanent
+from permpml.approx import block_ones_matrix, k_distinct_column_matrix
 from permpml.permanent import (
+    batch_capacity,
     is_doubly_stochastic,
+    log_coefficient,
     log_permanent,
     matrix_from_json,
     matrix_to_json,
@@ -128,6 +131,71 @@ def test_log_permanent_guard():
         tracemalloc.stop()
     assert elapsed < 0.1
     assert peak < 20 * m.nbytes + 100_000  # nothing of the size of the state
+
+
+def test_log_permanent_splits_components():
+    # the graph of the nonzero entries falls apart: perm is the product over
+    # its components, and the all-distinct columns no longer matter
+    assert log_permanent(np.eye(40)) == 0.0
+    a, _ = k_distinct_column_matrix(30, 3, 1)
+    b, _ = k_distinct_column_matrix(25, 2, 2)
+    m = np.zeros((55, 55))
+    m[:30, :30] = a
+    m[30:, 30:] = b
+    assert log_permanent(m) == pytest.approx(log_permanent(a) + log_permanent(b), rel=1e-13)
+    rng = np.random.default_rng(8)
+    blocks = [rng.random((8, 8)) for _ in range(5)]
+    dense = np.zeros((40, 40))
+    for i, block in enumerate(blocks):
+        dense[8 * i : 8 * i + 8, 8 * i : 8 * i + 8] = block
+    shuffle_rows, shuffle_cols = rng.permutation(40), rng.permutation(40)
+    expected = sum(math.log(permanent_naive(block)) for block in blocks)
+    assert log_permanent(dense[shuffle_rows][:, shuffle_cols]) == pytest.approx(expected, rel=1e-12)
+    # a component with more rows than columns has no perfect matching
+    lopsided = np.eye(4)
+    lopsided[2] = [0.0, 0.5, 0.0, 0.0]
+    assert log_permanent(lopsided) == -math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.integers(1, 5),
+    st.integers(0, 10_000),
+)
+def test_batched_coefficient_matches_rows(phi, rho, batch, seed):
+    rng = np.random.default_rng(seed)
+    log_w0 = rng.normal(size=len(rho)).tolist()
+    log_w = rng.normal(size=(batch, len(rho), len(phi)))
+    values = log_coefficient(phi, log_w0, log_w, rho)
+    assert values.shape == (batch,)
+    for row, value in zip(log_w, values):
+        assert value == pytest.approx(log_coefficient(phi, log_w0, row, rho), rel=1e-12)
+
+
+def test_batched_coefficient_guard(monkeypatch):
+    # the limits count the batch, and a call past them raises before the
+    # state (here 2 x 10^6 floats) is allocated
+    phi, rho = (99, 99, 99), (1, 1)
+    assert batch_capacity(phi, rho) == 1
+    log_w = np.zeros((2, len(rho), len(phi)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grouped evaluation"):
+            log_coefficient(phi, [0.0, 0.0], log_w, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # under a smaller work limit, three rows fit where four do not
+    # one row: 3 x 2 states, 2 slices per shift, 3 shifts
+    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 3 * 36)
+    assert batch_capacity((2, 1), (1, 1, 1)) == 3
+    log_w = np.zeros((4, 3, 2))
+    log_coefficient((2, 1), [0.0] * 3, log_w[:3], (1, 1, 1))
+    with pytest.raises(ValueError, match="grouped evaluation"):
+        log_coefficient((2, 1), [0.0] * 3, log_w, (1, 1, 1))
 
 
 def test_is_doubly_stochastic():
