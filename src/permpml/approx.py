@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
-from permpml.permanent import as_matrix, is_doubly_stochastic
+from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp
 
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITER = 100_000
@@ -123,8 +122,8 @@ def sinkhorn_scale(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_IT
     residual = math.inf
     iterations = 0
     for it in range(1, max_iter + 1):
-        logl = -logsumexp(loga + logr[None, :], axis=1)
-        logr = -logsumexp(loga + logl[:, None], axis=0)
+        logl = -logsumexp(loga + logr[None, :], 1)
+        logr = -logsumexp(loga + logl[:, None], 0)
         q = np.exp(logl[:, None] + loga + logr[None, :])
         residual = float(
             max(np.abs(q.sum(axis=1) - 1.0).max(), np.abs(q.sum(axis=0) - 1.0).max())

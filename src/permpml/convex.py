@@ -20,19 +20,27 @@ point's complementarity gap.  That gap, evaluated on the exact returned
 matrix with the linear program's optimum taken from its one-dimensional
 dual over the mass price (an upper bound at any price, minimized over the
 breakpoints), certifies the result.
+
+The row log-partitions log z_i come from `permanent.logsumexp`, whose log1p
+form the certificate needs: at the floor levels r_i ~ 1/(2n^2) the dual
+constraint compares log z_i with lam r_i, both of order 1/n^2, and the log
+of the shifted sum would err by an ulp of 1, about n^2 ulps of the slack (at
+n = 10^4 it pushed reported gaps to 1.7e-8, past G_TOL).  The KKT systems
+are solved by LAPACK's getrf and getrs, called directly; a predictor and its
+corrector share one factorization.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.special import logsumexp
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf, dgetrs
 
+from permpml.permanent import logsumexp
 from permpml.profiles import Profile
 
 G_TOL = 1e-8
@@ -110,6 +118,19 @@ def discretize(p, grid: DiscretizationSet) -> np.ndarray:
     return out
 
 
+def near_integer(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Entries within tol, or within 16 ulps of themselves, of an integer.
+
+    The ulps take over past about 2.8e5: an absolute tolerance alone fails
+    past about 8.4e6, where one ulp exceeds 1e-9, and a sum one ulp below
+    an integer would count as fractional.  A tolerance relative to the entry
+    (tol |x|) would instead count mass of 1e-8 at sums near 60 as rounding
+    error, and the snaps that keep such a sum's entries would leave it on a
+    row of its own.
+    """
+    return np.abs(x - np.round(x)) <= np.maximum(tol, 16.0 * np.spacing(np.abs(x)))
+
+
 @dataclass(frozen=True)
 class AllocationMatrix:
     """Coupling of probability levels (rows) to frequencies (columns).
@@ -162,9 +183,8 @@ class AllocationMatrix:
         )
 
     def has_integral_row_sums(self, tol: float = 1e-9) -> bool:
-        """Every row sum within tol of an integer, relative to the row sum past 1."""
-        rs = self.row_sums()
-        return bool(np.all(np.abs(rs - np.round(rs)) <= tol * np.maximum(1.0, np.abs(rs))))
+        """Every row sum near an integer (`near_integer`)."""
+        return bool(np.all(near_integer(self.row_sums(), tol)))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -275,7 +295,7 @@ class SolverInfo:
 def _row_compositions(expo: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log z_i(nu) and the softmax rows xi_ij of expo_ij - nu_j, with nu_0 = 0."""
     shifted = expo - np.concatenate(([0.0], nu))[None, :]
-    lz = logsumexp(shifted, axis=1)
+    lz = logsumexp(shifted, 1)
     return lz, np.exp(shifted - lz[:, None])
 
 
@@ -286,8 +306,9 @@ def _newton_step(xi, r, phi, t, rd, a, b, c, lu=None):
     and one row equation a_i dt_i + b_i ds_i = c_i per level, where the slack
     s_i = lam r_i - log z_i(nu) moves by ds = rd + r dlam + xi dnu (rd is the
     slack's own residual).  Pass the returned LU factors back to reuse the
-    matrix for a second right-hand side; a singular matrix raises
-    LinAlgWarning.
+    matrix for a second right-hand side.  A non-finite matrix or right-hand
+    side raises ValueError, and an exactly zero pivot (a singular matrix)
+    raises LinAlgWarning.
     """
     x = xi[:, 1:]
     k, ell = x.shape[1], len(r)
@@ -300,18 +321,22 @@ def _newton_step(xi, r, phi, t, rd, a, b, c, lu=None):
         kkt[k + 1 :, :k] = b[:, None] * x
         kkt[k + 1 :, k] = b * r
         kkt[k + 1 + np.arange(ell), k + 1 + np.arange(ell)] = a
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            lu = lu_factor(kkt)
+        if not np.isfinite(kkt).all():
+            raise ValueError("KKT matrix must not contain infs or NaNs")
+        *lu, info = dgetrf(kkt)
+        if info > 0:
+            raise LinAlgWarning(f"KKT matrix is singular: pivot {info} is exactly zero")
     rhs = np.concatenate([phi - x.T @ t, [1.0 - r @ t], c - b * rd])
-    sol = lu_solve(lu, rhs)
+    if not np.isfinite(rhs).all():
+        raise ValueError("KKT right-hand side must not contain infs or NaNs")
+    sol, _ = dgetrs(*lu, rhs)
     dnu, dlam, dt = sol[:k], sol[k], sol[k + 1 :]
     return dnu, dlam, dt, rd + r * dlam + x @ dnu, lu
 
 
 def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
+    return float((-v[neg] / dv[neg]).min(initial=1.0))
 
 
 def maximize_log_g(

@@ -8,6 +8,7 @@ over the counts of each distinct column, on each connected component of the
 matrix; the same program evaluates profile probabilities
 (`profiles.profile_probability_grouped`), one or a batch at a time.  Hard
 limits on its states and work keep every call inside a desk-scale budget.
+`logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
 """
 
 from __future__ import annotations
@@ -228,6 +229,27 @@ def is_doubly_stochastic(a, tol: float) -> bool:
         np.all(np.abs(m.sum(axis=0) - 1.0) <= tol)
         and np.all(np.abs(m.sum(axis=1) - 1.0) <= tol)
     )
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along `axis`, computed as scipy.special.logsumexp is.
+
+    The entries equal to the maximum are taken out of the sum, so the
+    result is log1p(rest / ties) + log(ties) + max, where rest sums
+    exp(a - max) over the other entries and ties counts the maximal ones;
+    with scipy's order of operations the two agree bit for bit.
+    The log1p form keeps the relative error of a sum dominated by one entry
+    at one ulp of the small terms; log(sum(exp(a - max))) would round them
+    into 1 first.  Each slice must have a finite maximum (-inf entries are
+    allowed).  Plain numpy, without scipy's array-API dispatch, which costs
+    more than the arithmetic on the solvers' small arrays.
+    """
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    rest = np.exp(a - top)
+    rest[at_top] = 0.0
+    ties = at_top.sum(axis=axis)
+    return (np.log1p(rest.sum(axis=axis) / ties) + np.log(ties)) + top.squeeze(axis)
 
 
 def matrix_to_json(a) -> str:

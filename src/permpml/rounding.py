@@ -2,13 +2,14 @@
 
 Stage 1 floors the rows of probability value above gamma entrywise and floors
 each column's total over the low rows; stage 2 floors the remaining row sums
-(in both, a sum within 1e-9 of an integer counts as that integer); both
-stages re-deposit the shaved mass on freshly created probability values
-(one per column, at the weighted mean of the removed mass).  Stage 3 rounds
-the fractional parts of the stage-2 diagonal rows with the structured
-rounding routine and divides every probability value by 1 + gamma so the
-total mass stays below one.  Column sums are preserved exactly throughout and
-every row sum of the result is a non-negative integer.
+(in both, a sum within 1e-9 or 16 ulps of an integer counts as that
+integer); both stages re-deposit the shaved mass on freshly created
+probability values (one per column, at the weighted mean of the removed
+mass).  Stage 3 rounds the fractional parts of the stage-2 diagonal rows
+with the structured rounding routine and divides every probability value by
+1 + gamma so the total mass stays below one.  Column sums are preserved
+exactly throughout and every row sum of the result is a non-negative
+integer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.convex import AllocationMatrix, log_g
+from permpml.convex import AllocationMatrix, log_g, near_integer
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,12 @@ def create_new_probability_values(b, c) -> AllocationMatrix:
 
 
 def _snapped_floor(x: np.ndarray) -> np.ndarray:
-    """Floor, except that sums within 1e-9 of an integer count as that integer.
+    """Floor, except that sums near an integer (`near_integer`) count as it.
 
     A column or row sum one ulp below an integer would otherwise lose a whole
     unit to a freshly created probability value.
     """
-    nearest = np.round(x)
-    return np.where(np.abs(x - nearest) <= 1e-9, nearest, np.floor(x))
+    return np.where(near_integer(x), np.round(x), np.floor(x))
 
 
 def _shrink_to_snapped_floor(x: np.ndarray) -> np.ndarray:
@@ -217,7 +217,7 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     final_levels = stage2.levels / (1.0 + gamma)
     # snap row sums that are integral within tolerance to exact integers
     rs = final_entries.sum(axis=1)
-    near = (np.abs(rs - np.round(rs)) <= 1e-9) & (rs > 0) & (np.round(rs) > 0)
+    near = near_integer(rs) & (rs > 0) & (np.round(rs) > 0)
     final_entries[near] *= (np.round(rs[near]) / rs[near])[:, None]
     final = AllocationMatrix(final_levels, final_entries, s.profile)
 

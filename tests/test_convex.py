@@ -17,7 +17,7 @@ from permpml.convex import (
     maximize_log_g,
     pseudo_distribution_of,
 )
-from permpml.convex import _linear_oracle
+from permpml.convex import _linear_oracle, _newton_step
 from permpml.permanent import log_permanent
 from permpml.profiles import Profile, profile_of_sequence, profile_probability_matrix, sample_sequence
 
@@ -253,6 +253,27 @@ def test_maximize_log_g_certifies_sampled_profiles(source, n):
         assert time.process_time() - start < 1.0
         assert_certified(p, grid, alloc, info)
         assert alloc.is_fractionally_feasible(1e-9)
+
+
+def test_newton_step_failures():
+    # an exactly singular KKT matrix raises LinAlgWarning (the solver stops
+    # on it), a non-finite one raises ValueError
+    from scipy.linalg import LinAlgWarning
+
+    r = build_discretization(4).values
+    ell = len(r)
+    phi = np.array([1.0, 2.0])
+    xi = np.zeros((ell, 3))
+    xi[:, 0] = 1.0  # observed columns all zero
+    t = np.zeros(ell)  # with t = 0 the rows of the column sums vanish
+    s = np.ones(ell)
+    with pytest.raises(LinAlgWarning):
+        _newton_step(xi, r, phi, t, np.zeros(ell), s, t, -t * s)
+    xi = np.full((ell, 3), 1.0 / 3.0)
+    xi[1, 2] = np.nan
+    t = np.ones(ell)
+    with pytest.raises(ValueError):
+        _newton_step(xi, r, phi, t, np.zeros(ell), s, t, -t * s)
 
 
 def test_maximize_log_g_gradient_matches_finite_differences():

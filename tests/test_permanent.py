@@ -15,6 +15,7 @@ from permpml.permanent import (
     is_doubly_stochastic,
     log_coefficient,
     log_permanent,
+    logsumexp,
     matrix_from_json,
     matrix_to_json,
     permanent_naive,
@@ -196,6 +197,31 @@ def test_batched_coefficient_guard(monkeypatch):
     log_coefficient((2, 1), [0.0] * 3, log_w[:3], (1, 1, 1))
     with pytest.raises(ValueError, match="grouped evaluation"):
         log_coefficient((2, 1), [0.0] * 3, log_w, (1, 1, 1))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_scipy(axis):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(7)
+    random = rng.normal(0.0, 20.0, (12, 5))
+    # one entry dominates; the rest are about 1e-10 of it, where a plain
+    # log of the shifted sum rounds them into 1
+    dominated = np.log(rng.uniform(0.5, 2.0, (12, 5)) * 1e-10)
+    dominated[np.arange(12), rng.integers(0, 5, 12)] = 0.0
+    # exact ties of the maximum, two to five per row
+    ties = rng.normal(0.0, 1.0, (12, 5))
+    for i, count in enumerate(rng.integers(2, 6, 12)):
+        ties[i, :count] = ties[i].max() + 1.0
+    # -inf entries, as the log of a sparse matrix in Sinkhorn
+    sparse = np.where(rng.uniform(size=(12, 5)) < 0.4, -np.inf, random)
+    sparse[np.arange(12), np.arange(12) % 5] = 1.0
+    for a in (random, dominated, ties, sparse):
+        a = a if axis == 1 else a.T.copy()
+        want = scipy_logsumexp(a, axis=axis)
+        got = logsumexp(a, axis)
+        assert got.shape == want.shape
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
 
 
 def test_is_doubly_stochastic():

@@ -17,6 +17,7 @@ from permpml.convex import (
 )
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
 from permpml.rounding import (
+    _snapped_floor,
     create_new_probability_values,
     round_allocation,
     structured_rounding,
@@ -225,6 +226,20 @@ def test_round_allocation_snaps_sums_one_ulp_below_an_integer():
     assert trace.stage2.entries[len(trace.stage1.levels) :].sum() == 0.0
     for stage in (trace.stage1, trace.stage2, trace.final):
         np.testing.assert_allclose(stage.column_sums()[1:], p.counts, atol=1e-9)
+
+
+def test_snapped_floor_one_ulp_below_a_large_integer():
+    # past about 8.4e6 one ulp exceeds 1e-9: an absolute snap floors a sum
+    # one ulp below an integer and drops a whole symbol
+    below = np.nextafter(12187690.0, 0.0)
+    assert 12187690.0 - below > 1e-9
+    assert _snapped_floor(np.array(below)) == 12187690.0
+    assert _snapped_floor(np.array([2.5, 12187690.5, np.nextafter(3.0, 0.0)])).tolist() == [2.0, 12187690.0, 3.0]
+    # below about 2.8e5 the tolerance stays an absolute 1e-9: mass of
+    # 2.6e-8 off a column total of 65 (a dead row's share of the unseen
+    # column at n = 300) is not rounding error
+    assert _snapped_floor(np.array(1.0 - 2e-9)) == 0.0
+    assert _snapped_floor(np.array(65.0 - 2.6e-8)) == 64.0
 
 
 def test_round_allocation_at_n_10000():
