@@ -3,8 +3,9 @@
 All three are maximizations over the doubly stochastic polytope restricted to
 the support of the input matrix.  The Sinkhorn maximizer is the diagonal
 scaling reached by alternating row/column normalization; the Bethe optimum is
-found by conditional gradient (the linear subproblem is an assignment
-problem) with exact line search, started from the Sinkhorn witness.
+found from the Sinkhorn witness by equality-constrained Newton steps and
+conditional-gradient steps (the linear subproblem is an assignment problem),
+each accepted by halving from the longest feasible step until it ascends.
 
 Also provides the two structured test-matrix generators used throughout the
 test-suite: block-diagonal all-ones matrices and matrices with a prescribed
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -153,15 +154,12 @@ def sinkhorn_permanent(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MA
 
 
 def scaled_sinkhorn_permanent(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER) -> ApproximationReport:
-    """exp(max_Q U(A, Q) - N): a lower bound on the permanent."""
-    am = as_matrix(a)
-    w = sinkhorn_scale(am, tol, max_iter)
-    return ApproximationReport(
-        method="scaled_sinkhorn",
-        log_value=_u_value(am, w.q) - am.shape[0],
-        witness=w,
-        converged=w.residual <= tol,
-    )
+    """exp(max_Q U(A, Q) - N): a lower bound on the permanent.
+
+    The Sinkhorn report with its value shifted by -N.
+    """
+    report = sinkhorn_permanent(a, tol, max_iter)
+    return replace(report, method="scaled_sinkhorn", log_value=report.log_value - report.witness.q.shape[0])
 
 
 def _bethe_gradient(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -184,20 +182,6 @@ def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray | N
     vertex = np.zeros_like(score)
     vertex[rows, cols] = 1.0
     return vertex
-
-
-def _line_search_concave(deriv, t_max: float, iters: int = 70) -> float:
-    """Bisection on the sign of the (decreasing) derivative of a concave 1-d slice."""
-    if deriv(t_max) >= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
@@ -231,17 +215,42 @@ def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarra
     return -(grad + mult[:n, None] + b[None, :]) * w
 
 
-def bethe_permanent(a, tol: float = BETHE_TOL, max_iter: int = BETHE_MAX_ITER, on_iteration=None) -> ApproximationReport:
-    """exp(max_Q U(A, Q) + V(Q)) via conditional gradient with exact line search.
+def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
+    """The point qm + t d with F >= floor, halving t from the longest feasible step.
 
-    Initialized at the Sinkhorn witness (same support, finite objective).
-    Iterates stay inside the support of A and the objective never decreases
-    across iterations; `on_iteration`, when given, receives it after every
-    step.  Plain conditional gradient zigzags near the (interior) optimum, so
-    each round first attempts an equality-constrained Newton step and falls
-    back to the Frank-Wolfe step when Newton does not improve.  The reported
-    value is certified by a Frank-Wolfe duality gap <= tol regardless of
-    which steps were taken.
+    t starts at min(1, 0.995 x the longest step that keeps every entry in
+    [0, 1]), so a full step is taken when it is feasible and a Frank-Wolfe
+    direction vertex - qm is first tried 0.995 of the way to the vertex.
+    Returns (point, F), or None when 60 halvings (down to about 1e-18 of the
+    first try) all fall below floor.
+    """
+    t = 1.0
+    shrink = d < 0
+    grow = d > 0
+    if np.any(shrink):
+        t = min(t, 0.995 * float(np.min(qm[shrink] / -d[shrink])))
+    if np.any(grow):
+        t = min(t, 0.995 * float(np.min((1.0 - qm[grow]) / d[grow])))
+    for _ in range(60):
+        cand = qm + t * d
+        f_new = _f_value(am, cand)
+        if f_new >= floor:
+            return cand, f_new
+        t *= 0.5
+    return None
+
+
+def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
+    """exp(max_Q U(A, Q) + V(Q)) by Newton and Frank-Wolfe ascent steps.
+
+    Starts at the Sinkhorn witness (same support, finite objective).  Plain
+    conditional gradient zigzags near the (interior) optimum, so each round
+    tries an equality-constrained Newton step first, and a Frank-Wolfe step
+    towards the assignment vertex when Newton does not improve; both are
+    accepted by `_ascent_step`.  F is concave on the polytope (Vontobel
+    2013), so the value is certified by a Frank-Wolfe gap <= BETHE_TOL
+    whichever steps were taken.  `on_iteration`, when given, receives the
+    best objective after every step; it never decreases.
     """
     am = as_matrix(a)
     n = am.shape[0]
@@ -254,66 +263,38 @@ def bethe_permanent(a, tol: float = BETHE_TOL, max_iter: int = BETHE_MAX_ITER, o
     best_f = f_cur
     converged = False
     allow_newton = True
-    for _ in range(max_iter):
+    for _ in range(BETHE_MAX_ITER):
         grad = _bethe_gradient(am, qm, support)
         vertex = _assignment_vertex(grad, support)
         if vertex is None:
             return ApproximationReport("bethe", -math.inf, w, True)
         direction = vertex - qm
         gap = float(np.sum(grad * direction))
-        if gap <= tol:
+        if gap <= BETHE_TOL:
             converged = True
             break
 
         noise = 1e-12 * (1.0 + abs(f_cur))
-        accepted = False
+        step = None
         if allow_newton:
             delta = _bethe_newton_direction(qm, support, grad)
             # a sane Newton step never exceeds the polytope diameter; huge
             # steps are the ill-conditioned boundary regime, FW's territory
             if delta is not None and np.any(delta) and np.abs(delta).max() <= n:
-                shrink = delta < 0
-                grow = delta > 0
-                alpha = 1.0
-                if np.any(shrink):
-                    alpha = min(alpha, 0.995 * float(np.min(qm[shrink] / -delta[shrink])))
-                if np.any(grow):
-                    alpha = min(alpha, 0.995 * float(np.min((1.0 - qm[grow]) / delta[grow])))
-                for _try in range(40):
-                    cand = qm + alpha * delta
-                    f_new = _f_value(am, cand)
-                    # near the optimum the improvement underflows while the
-                    # gap is still linear in position error: tolerate noise
-                    if f_new >= f_cur - noise:
-                        # a within-noise step means Newton has stopped making
-                        # progress: take a Frank-Wolfe step next round, whose
-                        # gap contraction is guaranteed and cannot cycle
-                        allow_newton = f_new > f_cur + noise
-                        qm, f_cur, accepted = cand, f_new, True
-                        break
-                    alpha *= 0.5
-                else:
-                    allow_newton = False
-        if not accepted:
-            was_newton_allowed = allow_newton
-            allow_newton = False
-
-            def deriv(t: float) -> float:
-                return float(np.sum(_bethe_gradient(am, qm + t * direction, support) * direction))
-
-            # stay strictly inside the segment: the objective is finite at
-            # the vertex but its clamped gradient is not trustworthy there
-            t = _line_search_concave(deriv, 1.0 - 1e-9)
-            f_new = _f_value(am, qm + t * direction)
-            while f_new < f_cur and t > 1e-18:
-                t *= 0.5
-                f_new = _f_value(am, qm + t * direction)
-            if f_new >= f_cur:
-                qm = qm + t * direction
-                f_cur = f_new
-                allow_newton = True
-            elif not was_newton_allowed:
+                # near the optimum the improvement underflows while the gap
+                # is still linear in position error: tolerate noise
+                step = _ascent_step(am, qm, delta, f_cur - noise)
+        if step is not None:
+            # a within-noise step means Newton has stopped making progress:
+            # take a Frank-Wolfe step next round, whose gap contraction is
+            # guaranteed and cannot cycle
+            allow_newton = step[1] > f_cur + noise
+        else:
+            step = _ascent_step(am, qm, direction, f_cur)
+            if step is None:
                 break  # numerically stalled on both step types
+            allow_newton = True
+        qm, f_cur = step
         best_f = max(best_f, f_cur)
         if on_iteration is not None:
             on_iteration(best_f)

@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from permpml.approx import bethe_permanent, scaled_sinkhorn_permanent, sinkhorn_permanent
+from permpml.approx import bethe_permanent, sinkhorn_permanent
 from permpml.convex import G_MAX_ITER, G_TOL
 from permpml.estimator import approximate_pml, exact_pml_oracle
 from permpml.permanent import log_permanent, matrix_from_json
@@ -76,12 +76,13 @@ def _cmd_perm_compare(args) -> int:
         exact = log_permanent(matrix)
     except ValueError:  # past the limits of the exact dynamic program
         exact = None
-    scaled = scaled_sinkhorn_permanent(matrix, args.tol).log_value
+    sinkhorn = sinkhorn_permanent(matrix, args.tol).log_value
+    scaled = sinkhorn - matrix.shape[0]  # scaled_sinkhorn_permanent's shift
     bethe = bethe_permanent(matrix).log_value
     record = {
         "n": matrix.shape[0],
         "log_perm": exact,
-        "log_sinkhorn": sinkhorn_permanent(matrix, args.tol).log_value,
+        "log_sinkhorn": sinkhorn,
         "log_scaled_sinkhorn": scaled,
         "log_bethe": bethe,
         "gap_bethe": exact - bethe if exact is not None else None,

@@ -176,9 +176,10 @@ class AllocationMatrix:
         return log_h(self.entries, self.levels, self.col_freqs)
 
     def is_fractionally_feasible(self, tol: float = 1e-9) -> bool:
-        cols = self.column_sums()
+        """Column sums within tol, or 16 ulps, of the counts; mass at most 1 + tol."""
+        counts = np.array(self.profile.counts, dtype=float)
         return bool(
-            np.all(np.abs(cols[1:] - np.array(self.profile.counts)) <= tol)
+            np.all(np.abs(self.column_sums()[1:] - counts) <= np.maximum(tol, 16.0 * np.spacing(counts)))
             and self.mass() <= 1.0 + tol
         )
 

@@ -34,7 +34,6 @@ from permpml.permanent import batch_capacity, log_coefficient
 from permpml.profiles import (
     MASS_TOL,
     Profile,
-    check_pseudo_distribution,
     log_c_phi,
     profile_probability_grouped,
 )
@@ -157,7 +156,6 @@ def exact_pml_oracle(
     p: Profile,
     max_support: int | None = None,
     grid_step: float = 0.02,
-    extra_candidates=(),
 ) -> tuple[np.ndarray, float]:
     """Best distribution on a simplex grid, maximizing the profile probability.
 
@@ -168,8 +166,7 @@ def exact_pml_oracle(
     dynamic programs; those within a relative 1e-9 of the best score are
     then evaluated by profile_probability_grouped in grid order, so the
     returned value is that function's and ties go to the first candidate,
-    across support sizes too.  Candidates passed via extra_candidates compete on
-    profile_probability_grouped's values, one call each.
+    across support sizes too.
     """
     if p.n > ORACLE_N_LIMIT:
         raise ValueError(f"oracle limited to n <= {ORACLE_N_LIMIT}")
@@ -189,10 +186,6 @@ def exact_pml_oracle(
         scores = _log_probabilities(qs, p)
         top = scores.max()
         candidates += list(qs[scores >= top - _TIE_TOL * max(1.0, abs(top))])
-    for cand in extra_candidates:
-        q = check_pseudo_distribution(cand)
-        if len(q) >= p.observed:
-            candidates.append(q.copy())
     best_q = None
     best = -math.inf
     for q in candidates:
@@ -205,10 +198,10 @@ def exact_pml_oracle(
     return best_q, best
 
 
-def estimate_property(res: PmlResult, which: str, draws: int | None = None) -> PropertyEstimate:
+def estimate_property(res: PmlResult, which: str) -> PropertyEstimate:
     """Plug-in symmetric property of the approximate PML distribution.
 
-    support_coverage uses m = n draws unless overridden via `draws`.
+    support_coverage uses m = n draws.
     """
     q = res.distribution
     pos = q[q > 0]
@@ -217,8 +210,7 @@ def estimate_property(res: PmlResult, which: str, draws: int | None = None) -> P
     elif which == "support_size":
         value = float(len(pos))
     elif which == "support_coverage":
-        m = res.params["n"] if draws is None else draws
-        value = float(np.sum(1.0 - np.power(1.0 - pos, m)))
+        value = float(np.sum(1.0 - np.power(1.0 - pos, res.params["n"])))
     elif which == "distance_to_uniformity":
         value = float(np.sum(np.abs(pos - 1.0 / len(pos))))
     else:

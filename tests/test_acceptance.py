@@ -380,15 +380,23 @@ def test_criterion_10_rounding_structural_suite():
 
     p = Profile((1, 2), (2, 1))
     grid = build_discretization(4)
-    created = 0
-    while created < 250:
+    counts = np.array(p.counts, dtype=float)
+    floor = int(np.argmin(grid.values))
+    floor_mass = grid.values[floor] * counts.sum()
+    for _ in range(250):
+        # feasible by construction: uniform entries with the observed columns
+        # scaled to the counts, a random share of them moved onto the lowest
+        # level so that their mass is below 1, and the unseen column scaled
+        # into a random part of the mass left
         b_entries = rng.uniform(0.0, 1.0, (len(grid), 3))
-        b_entries[:, 1:] *= np.array(p.counts) / b_entries[:, 1:].sum(axis=0)
-        if float(grid.values @ b_entries.sum(axis=1)) > 1:
-            b_entries /= float(grid.values @ b_entries.sum(axis=1)) + 1e-12
-            b_entries[:, 1:] *= np.array(p.counts) / b_entries[:, 1:].sum(axis=0)
-        if float(grid.values @ b_entries.sum(axis=1)) > 1:
-            continue
+        b_entries[:, 1:] *= counts / b_entries[:, 1:].sum(axis=0)
+        observed_mass = float(grid.values @ b_entries[:, 1:].sum(axis=1))
+        share = rng.uniform(0.0, min(1.0, (1.0 - floor_mass) / (observed_mass - floor_mass)))
+        b_entries[:, 1:] *= share
+        b_entries[floor, 1:] += (1.0 - share) * counts
+        left = 1.0 - float(grid.values @ b_entries[:, 1:].sum(axis=1))
+        b_entries[:, 0] *= rng.uniform(0.0, 1.0) * left / float(grid.values @ b_entries[:, 0])
+        assert float(grid.values @ b_entries.sum(axis=1)) <= 1.0 + 1e-12
         b = AllocationMatrix(grid.values, b_entries, p)
         c_entries = b_entries * rng.uniform(0.0, 1.0, b_entries.shape)
         out = create_new_probability_values(b, c_entries)
@@ -412,7 +420,6 @@ def test_criterion_10_rounding_structural_suite():
                 assert out.levels[t + j] == pytest.approx(
                     float(grid.values @ removed[:, j]) / tot, abs=1e-9
                 )
-        created += 1
         checks += 1
 
     # full rounding: stage lemmas and the final membership (250 cases);

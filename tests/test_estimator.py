@@ -152,16 +152,6 @@ def test_oracle_chunks_past_the_work_limit(monkeypatch):
     assert batches.count((10, 6)) > 1
 
 
-def test_oracle_never_loses_to_injected_candidate():
-    for seq in ["ab", "aab", "aabb"]:
-        p = profile_of_sequence(seq)
-        res = approximate_pml(p)
-        _, with_cand = exact_pml_oracle(
-            p, max_support=4, extra_candidates=[res.distribution]
-        )
-        assert with_cand >= res.log_profile_probability - 1e-12
-
-
 def test_end_to_end_ratio_small_profiles():
     for seq, threshold in [("ab", 0.25), ("aab", 0.25), ("aa", 0.25)]:
         p = profile_of_sequence(seq)
