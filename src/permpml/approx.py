@@ -44,9 +44,18 @@ class DoublyStochasticWitness:
 
 @dataclass(frozen=True)
 class ApproximationReport:
+    """A permanent approximation and the solver run that made it.
+
+    `q` is the doubly stochastic point reached; `iterations` and `residual`
+    are the solver's own: Sinkhorn's sweeps and worst marginal error, or
+    Bethe's ascent steps and last Frank-Wolfe gap.
+    """
+
     method: str  # 'sinkhorn' | 'scaled_sinkhorn' | 'bethe'
     log_value: float
-    witness: DoublyStochasticWitness
+    q: np.ndarray
+    iterations: int
+    residual: float
     converged: bool
 
     def to_json(self) -> str:
@@ -54,8 +63,8 @@ class ApproximationReport:
             {
                 "method": self.method,
                 "log_value": self.log_value,
-                "iterations": self.witness.iterations,
-                "residual": self.witness.residual,
+                "iterations": self.iterations,
+                "residual": self.residual,
                 "converged": self.converged,
             }
         )
@@ -102,8 +111,8 @@ def _f_value(am: np.ndarray, qm: np.ndarray) -> float:
     return _u_value(am, qm) + _v_value(qm)
 
 
-def sinkhorn_scale(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER) -> DoublyStochasticWitness:
-    """Alternating row/column normalization until the worst marginal error <= tol.
+def sinkhorn_scale(a) -> DoublyStochasticWitness:
+    """Alternating row/column normalization until the worst marginal error <= SINKHORN_TOL.
 
     Runs in the log domain so badly scaled inputs cannot overflow.  Matrices
     with support but no total support stagnate; the last iterate is returned
@@ -122,7 +131,7 @@ def sinkhorn_scale(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_IT
     q = np.full((n, n), 1.0 / n)
     residual = math.inf
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SINKHORN_MAX_ITER + 1):
         logl = -logsumexp(loga + logr[None, :], 1)
         logr = -logsumexp(loga + logl[:, None], 0)
         q = np.exp(logl[:, None] + loga + logr[None, :])
@@ -130,7 +139,7 @@ def sinkhorn_scale(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_IT
             max(np.abs(q.sum(axis=1) - 1.0).max(), np.abs(q.sum(axis=0) - 1.0).max())
         )
         iterations = it
-        if residual <= tol:
+        if residual <= SINKHORN_TOL:
             break
     return DoublyStochasticWitness(
         q=q,
@@ -141,25 +150,22 @@ def sinkhorn_scale(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_IT
     )
 
 
-def sinkhorn_permanent(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER) -> ApproximationReport:
+def sinkhorn_permanent(a) -> ApproximationReport:
     """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent."""
     am = as_matrix(a)
-    w = sinkhorn_scale(am, tol, max_iter)
+    w = sinkhorn_scale(am)
     return ApproximationReport(
-        method="sinkhorn",
-        log_value=_u_value(am, w.q),
-        witness=w,
-        converged=w.residual <= tol,
+        "sinkhorn", _u_value(am, w.q), w.q, w.iterations, w.residual, w.residual <= SINKHORN_TOL
     )
 
 
-def scaled_sinkhorn_permanent(a, tol: float = SINKHORN_TOL, max_iter: int = SINKHORN_MAX_ITER) -> ApproximationReport:
+def scaled_sinkhorn_permanent(a) -> ApproximationReport:
     """exp(max_Q U(A, Q) - N): a lower bound on the permanent.
 
     The Sinkhorn report with its value shifted by -N.
     """
-    report = sinkhorn_permanent(a, tol, max_iter)
-    return replace(report, method="scaled_sinkhorn", log_value=report.log_value - report.witness.q.shape[0])
+    report = sinkhorn_permanent(a)
+    return replace(report, method="scaled_sinkhorn", log_value=report.log_value - report.q.shape[0])
 
 
 def _bethe_gradient(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -250,28 +256,29 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     accepted by `_ascent_step`.  F is concave on the polytope (Vontobel
     2013), so the value is certified by a Frank-Wolfe gap <= BETHE_TOL
     whichever steps were taken.  `on_iteration`, when given, receives the
-    best objective after every step; it never decreases.
+    best objective after every step; it never decreases.  The report counts
+    the steps and carries the last gap as its residual (0 when no
+    permutation fits in the support and the value is exactly -inf).
     """
     am = as_matrix(a)
     n = am.shape[0]
     if am.shape[0] != am.shape[1]:
         raise ValueError("bethe_permanent requires a square matrix")
-    w = sinkhorn_scale(am, SINKHORN_TOL, SINKHORN_MAX_ITER)
     support = am > 0
-    qm = w.q
+    qm = sinkhorn_scale(am).q
     f_cur = _f_value(am, qm)
     best_f = f_cur
-    converged = False
     allow_newton = True
-    for _ in range(BETHE_MAX_ITER):
+    steps = 0
+    gap = math.inf
+    while steps < BETHE_MAX_ITER:
         grad = _bethe_gradient(am, qm, support)
         vertex = _assignment_vertex(grad, support)
         if vertex is None:
-            return ApproximationReport("bethe", -math.inf, w, True)
+            return ApproximationReport("bethe", -math.inf, qm, steps, 0.0, True)
         direction = vertex - qm
         gap = float(np.sum(grad * direction))
         if gap <= BETHE_TOL:
-            converged = True
             break
 
         noise = 1e-12 * (1.0 + abs(f_cur))
@@ -295,10 +302,11 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
                 break  # numerically stalled on both step types
             allow_newton = True
         qm, f_cur = step
+        steps += 1
         best_f = max(best_f, f_cur)
         if on_iteration is not None:
             on_iteration(best_f)
-    return ApproximationReport("bethe", best_f, w, converged)
+    return ApproximationReport("bethe", best_f, qm, steps, gap, gap <= BETHE_TOL)
 
 
 def block_ones_matrix(n: int, k: int) -> np.ndarray:

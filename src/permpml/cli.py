@@ -12,7 +12,6 @@ import math
 import sys
 
 from permpml.approx import bethe_permanent, sinkhorn_permanent
-from permpml.convex import G_MAX_ITER, G_TOL
 from permpml.estimator import approximate_pml, exact_pml_oracle
 from permpml.permanent import log_permanent, matrix_from_json
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
@@ -53,16 +52,7 @@ def _load_profile(path: str) -> Profile:
 
 
 def _cmd_pml(args) -> int:
-    profile = _load_profile(args.profile_file)
-    if args.gamma is not None and not 0.0 < args.gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if args.eps is not None and not 0.0 < args.eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if args.tol <= 0:
-        raise ValueError("tol must be positive")
-    result = approximate_pml(
-        profile, eps=args.eps, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter
-    )
+    result = approximate_pml(_load_profile(args.profile_file))
     _write(result.to_json(), args.out)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
@@ -76,7 +66,7 @@ def _cmd_perm_compare(args) -> int:
         exact = log_permanent(matrix)
     except ValueError:  # past the limits of the exact dynamic program
         exact = None
-    sinkhorn = sinkhorn_permanent(matrix, args.tol).log_value
+    sinkhorn = sinkhorn_permanent(matrix).log_value
     scaled = sinkhorn - matrix.shape[0]  # scaled_sinkhorn_permanent's shift
     bethe = bethe_permanent(matrix).log_value
     record = {
@@ -136,16 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pml = sub.add_parser("pml", help="approximate PML distribution for a profile JSON")
     p_pml.add_argument("profile_file")
-    p_pml.add_argument("--eps", type=float, default=None)
-    p_pml.add_argument("--gamma", type=float, default=None)
-    p_pml.add_argument("--tol", type=float, default=G_TOL)
-    p_pml.add_argument("--max-iter", type=int, default=G_MAX_ITER)
     p_pml.add_argument("--out")
     p_pml.set_defaults(func=_cmd_pml)
 
     p_cmp = sub.add_parser("perm-compare", help="exact vs approximate permanents as CSV")
     p_cmp.add_argument("matrix_file")
-    p_cmp.add_argument("--tol", type=float, default=1e-10)
     p_cmp.add_argument("--format", choices=["json", "csv"], default="csv")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_perm_compare)

@@ -81,19 +81,11 @@ class DiscretizationSet:
         return len(self.values)
 
 
-def build_discretization(n: int, eps: float | None = None) -> DiscretizationSet:
-    """Grid with ratio 1+eps truncated at the first value <= 1/(2n^2).
-
-    eps defaults to log(n)/sqrt(n).  The source derivation also instantiates
-    the same grid with eps = 1/sqrt(n); both are valid here, so eps is an
-    explicit parameter.
-    """
+def build_discretization(n: int) -> DiscretizationSet:
+    """Grid with ratio 1+eps, eps = log(n)/sqrt(n), truncated at the first value <= 1/(2n^2)."""
     if n < 2:
         raise ValueError("discretization requires n >= 2")
-    if eps is None:
-        eps = math.log(n) / math.sqrt(n)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    eps = math.log(n) / math.sqrt(n)
     cutoff = 1.0 / (2.0 * n * n)
     vals = [1.0]
     while vals[-1] > cutoff:
@@ -118,17 +110,22 @@ def discretize(p, grid: DiscretizationSet) -> np.ndarray:
     return out
 
 
-def near_integer(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Entries within tol, or within 16 ulps of themselves, of an integer.
+def near(x, target) -> np.ndarray:
+    """Entries of x within 1e-9, or within 16 ulps of the target, of target.
 
     The ulps take over past about 2.8e5: an absolute tolerance alone fails
     past about 8.4e6, where one ulp exceeds 1e-9, and a sum one ulp below
     an integer would count as fractional.  A tolerance relative to the entry
-    (tol |x|) would instead count mass of 1e-8 at sums near 60 as rounding
+    (1e-9 |x|) would instead count mass of 1e-8 at sums near 60 as rounding
     error, and the snaps that keep such a sum's entries would leave it on a
     row of its own.
     """
-    return np.abs(x - np.round(x)) <= np.maximum(tol, 16.0 * np.spacing(np.abs(x)))
+    return np.abs(x - target) <= np.maximum(1e-9, 16.0 * np.spacing(np.abs(target)))
+
+
+def near_integer(x: np.ndarray) -> np.ndarray:
+    """Entries `near` their nearest integer."""
+    return near(x, np.round(x))
 
 
 @dataclass(frozen=True)
@@ -172,20 +169,14 @@ class AllocationMatrix:
     def log_g(self) -> float:
         return log_g(self.entries, self.levels, self.col_freqs)
 
-    def log_h(self) -> float:
-        return log_h(self.entries, self.levels, self.col_freqs)
-
-    def is_fractionally_feasible(self, tol: float = 1e-9) -> bool:
-        """Column sums within tol, or 16 ulps, of the counts; mass at most 1 + tol."""
+    def is_fractionally_feasible(self) -> bool:
+        """Column sums `near` the counts; mass at most 1 + 1e-9."""
         counts = np.array(self.profile.counts, dtype=float)
-        return bool(
-            np.all(np.abs(self.column_sums()[1:] - counts) <= np.maximum(tol, 16.0 * np.spacing(counts)))
-            and self.mass() <= 1.0 + tol
-        )
+        return bool(np.all(near(self.column_sums()[1:], counts)) and self.mass() <= 1.0 + 1e-9)
 
-    def has_integral_row_sums(self, tol: float = 1e-9) -> bool:
+    def has_integral_row_sums(self) -> bool:
         """Every row sum near an integer (`near_integer`)."""
-        return bool(np.all(near_integer(self.row_sums(), tol)))
+        return bool(np.all(near_integer(self.row_sums())))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -343,11 +334,10 @@ def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
 def maximize_log_g(
     profile: Profile,
     grid: DiscretizationSet,
-    tol: float = G_TOL,
     max_iter: int = G_MAX_ITER,
     return_info: bool = False,
 ):
-    """Maximize log g over the fractional feasible set, certified by FW gap <= tol.
+    """Maximize log g over the fractional feasible set, certified by FW gap <= G_TOL.
 
     Returns the AllocationMatrix (and a SolverInfo when return_info is set;
     its `iterations` counts Newton steps, at most max_iter).
@@ -382,7 +372,7 @@ def maximize_log_g(
         mu = float(t @ s) / ell
         rd = lam * r - lz - s
         if (
-            ell * mu <= 1e-3 * tol
+            ell * mu <= 1e-3 * G_TOL
             and np.abs(phi - xi[:, 1:].T @ t).max() <= 1e-12 * phi.max()
             and abs(1.0 - r @ t) <= 1e-12
             and np.abs(rd).max() <= 1e-12 * (1.0 + lam)
@@ -448,7 +438,7 @@ def maximize_log_g(
     gap = _linear_oracle(grad, r, phi) - float(np.sum(grad * s_entries))
     alloc = AllocationMatrix(r.copy(), s_entries, profile)
     if return_info:
-        return alloc, SolverInfo(converged=gap <= tol, gap=gap, iterations=steps)
+        return alloc, SolverInfo(converged=gap <= G_TOL, gap=gap, iterations=steps)
     return alloc
 
 

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.convex import (
-    G_MAX_ITER,
-    G_TOL,
-    build_discretization,
-    maximize_log_g,
-    pseudo_distribution_of,
-)
+from permpml.convex import build_discretization, maximize_log_g, pseudo_distribution_of
 from permpml.permanent import batch_capacity, log_coefficient
 from permpml.profiles import (
     MASS_TOL,
@@ -76,13 +70,7 @@ class PropertyEstimate:
     basis: PmlResult
 
 
-def approximate_pml(
-    p: Profile,
-    eps: float | None = None,
-    gamma: float | None = None,
-    tol: float = G_TOL,
-    max_iter: int = G_MAX_ITER,
-) -> PmlResult:
+def approximate_pml(p: Profile) -> PmlResult:
     """Compute an approximate PML distribution for a profile.
 
     The discretization and the rounding threshold are tied to the sample
@@ -92,10 +80,9 @@ def approximate_pml(
     limits of profile_probability_grouped raises its ValueError.
     """
     n_eff = max(p.n, 2)
-    grid = build_discretization(n_eff, eps)
-    if gamma is None:
-        gamma = 1.0 / math.sqrt(n_eff)
-    alloc, info = maximize_log_g(p, grid, tol=tol, max_iter=max_iter, return_info=True)
+    grid = build_discretization(n_eff)
+    gamma = 1.0 / math.sqrt(n_eff)
+    alloc, info = maximize_log_g(p, grid, return_info=True)
     trace = round_allocation(alloc, gamma)
     q = pseudo_distribution_of(trace.final)
     dist = q / q.sum()

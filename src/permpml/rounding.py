@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.convex import AllocationMatrix, log_g, near_integer
+from permpml.convex import AllocationMatrix, log_g, near, near_integer
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def structured_rounding(x, w, a: int) -> tuple[np.ndarray, np.ndarray]:
     if a < 0 or int(a) != a:
         raise ValueError("a must be a non-negative integer")
     total = float(xv.sum())
-    if abs(total - a) > 1e-9:
-        raise ValueError(f"sum of x ({total}) must equal a ({a}) within 1e-9")
+    if not near(total, a):
+        raise ValueError(f"sum of x ({total}) must equal a ({a}) within 1e-9 or 16 ulps")
     c = len(xv)
     z = np.zeros((c, c))
     s_out = np.zeros(0, dtype=int)
@@ -171,7 +171,7 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if not s.is_fractionally_feasible(1e-9):
+    if not s.is_fractionally_feasible():
         raise ValueError("input must satisfy the fractional feasibility constraints")
     entries = s.entries.copy()
     col0 = float(entries[:, 0].sum())

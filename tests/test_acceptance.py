@@ -462,7 +462,7 @@ def test_criterion_10_rounding_structural_suite():
         assert abs(tail_total - round(tail_total)) <= 1e-9
         np.testing.assert_allclose(trace.stage2.column_sums()[1:], phi, atol=1e-9)
         # final membership in the integral set
-        assert trace.final.has_integral_row_sums(1e-9)
+        assert trace.final.has_integral_row_sums()
         np.testing.assert_allclose(trace.final.column_sums()[1:], phi, atol=1e-9)
         assert trace.final.mass() <= 1 + 1e-9
         rounded += 1

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from permpml import approx
 from permpml.approx import (
+    BETHE_TOL,
     bethe_permanent,
     block_ones_matrix,
     functional_u,
@@ -56,11 +59,12 @@ def test_sinkhorn_diagonal_recovers_inverse():
     np.testing.assert_allclose(w.row_scalers * w.col_scalers, [0.5, 0.2], rtol=1e-10)
 
 
-def test_sinkhorn_matches_grid_search_2x2():
+def test_sinkhorn_matches_grid_search_2x2(monkeypatch):
     # 2x2 doubly stochastic matrices form a one-parameter family, so U can be
     # maximized by brute force on a dense grid.
     a = np.array([[1.0, 1.0], [1.0, 2.0]])
-    w = sinkhorn_scale(a, tol=1e-12)
+    monkeypatch.setattr(approx, "SINKHORN_TOL", 1e-12)
+    w = sinkhorn_scale(a)
     assert w.residual <= 1e-12
     ts = np.linspace(1e-9, 1 - 1e-9, 100_001)
     with np.errstate(divide="ignore"):
@@ -88,11 +92,14 @@ def test_sinkhorn_requires_support():
         sinkhorn_scale(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
-def test_sinkhorn_without_total_support_flags_nonconvergence():
+def test_sinkhorn_without_total_support_flags_nonconvergence(monkeypatch):
     a = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    report = scaled_sinkhorn_permanent(a, max_iter=500)
+    # the default cap runs all 100 000 sweeps (about 5 s of CPU)
+    monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
+    report = scaled_sinkhorn_permanent(a)
     assert not report.converged
-    assert report.witness.residual > 1e-10
+    assert report.iterations == 500
+    assert report.residual > 1e-10
 
 
 def test_sinkhorn_preserves_equal_columns():
@@ -137,6 +144,18 @@ def test_report_json():
     assert r.log_value == pytest.approx(0.0)
     text = r.to_json()
     assert '"method": "sinkhorn"' in text and '"converged": true' in text
+
+
+def test_bethe_report_counts_its_own_steps():
+    a = np.random.default_rng(7).uniform(0, 1, (5, 5)) ** 3
+    seen = []
+    r = bethe_permanent(a, on_iteration=seen.append)
+    obj = json.loads(r.to_json())
+    # Sinkhorn takes 43 sweeps to reach the start; the report is Bethe's
+    assert r.iterations == len(seen) == obj["iterations"] == 7
+    assert r.converged and 0.0 <= r.residual <= BETHE_TOL
+    assert obj["residual"] == r.residual
+    assert sinkhorn_scale(a).iterations == 43
 
 
 def test_bethe_j2_tight_case():

@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permpml.cli import main
+from permpml.cli import build_parser, main
 from permpml.permanent import matrix_to_json
 from permpml.profiles import Profile
 
@@ -52,9 +54,6 @@ def test_pml_command(tmp_path, capsys):
 
 
 def test_pml_validation_exit_2(tmp_path, capsys):
-    pfile = tmp_path / "p.json"
-    pfile.write_text(Profile((1,), (2,)).to_json())
-    assert main(["pml", str(pfile), "--gamma", "0"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["pml", str(bad)]) == 2
@@ -184,3 +183,13 @@ def test_oracle_pml_missing_freqs_exits_2(tmp_path, capsys):
     assert main(["oracle-pml", str(pfile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("permpml ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]

@@ -38,13 +38,8 @@ def test_build_discretization_n100():
 def test_build_discretization_small_and_variants():
     grid = build_discretization(4)
     assert grid.values[-1] <= 1 / 32 and grid.values[0] == 1.0
-    alt = build_discretization(16, eps=0.25)  # the 1/sqrt(n) reading
-    assert alt.eps == 0.25
-    assert 1 / 1024 <= alt.values[-1] <= 1 / 512
     with pytest.raises(ValueError):
         build_discretization(1)
-    with pytest.raises(ValueError):
-        build_discretization(10, eps=1.5)
 
 
 def test_discretization_invariants_enforced():
@@ -196,7 +191,7 @@ def test_maximize_log_g_converges_and_is_feasible():
         grid = build_discretization(max(p.n, 2))
         alloc, info = maximize_log_g(p, grid, return_info=True)
         assert info.converged and info.gap <= 1e-8
-        assert alloc.is_fractionally_feasible(1e-9)
+        assert alloc.is_fractionally_feasible()
 
 
 def assert_certified(p, grid, alloc, info):
@@ -252,7 +247,7 @@ def test_maximize_log_g_certifies_sampled_profiles(source, n):
         alloc, info = maximize_log_g(p, grid, return_info=True)
         assert time.process_time() - start < 1.0
         assert_certified(p, grid, alloc, info)
-        assert alloc.is_fractionally_feasible(1e-9)
+        assert alloc.is_fractionally_feasible()
 
 
 def test_newton_step_failures():

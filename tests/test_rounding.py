@@ -247,13 +247,13 @@ def test_round_allocation_accepts_a_column_sum_one_ulp_below_a_large_count():
     # 16 ulps of the multiplicity, as near_integer does
     below = np.nextafter(12187690.0, 0.0)
     alloc = AllocationMatrix(np.array([1e-8]), np.array([[0.0, below]]), Profile((1,), (12187690,)))
-    assert alloc.is_fractionally_feasible(1e-9)
+    assert alloc.is_fractionally_feasible()
     trace = round_allocation(alloc, 0.5)
     assert trace.final.column_sums()[1:].tolist() == [12187690.0]
     assert trace.final.has_integral_row_sums()
     # a column sum 1e-6 off the count is still infeasible
     off = AllocationMatrix(np.array([1e-8]), np.array([[0.0, 12187690.0 - 1e-6]]), Profile((1,), (12187690,)))
-    assert not off.is_fractionally_feasible(1e-9)
+    assert not off.is_fractionally_feasible()
 
 
 def test_round_allocation_at_n_10000():
