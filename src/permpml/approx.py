@@ -2,7 +2,9 @@
 
 All three are maximizations over the doubly stochastic polytope restricted to
 the support of the input matrix.  The Sinkhorn maximizer is the diagonal
-scaling reached by alternating row/column normalization; the Bethe optimum is
+scaling reached by alternating row/column normalization, swept as
+matrix-vector products on a fixed kernel whose scalings are folded into the
+log domain when they grow large (Schmitzer 2019); the Bethe optimum is
 found from the Sinkhorn witness by equality-constrained Newton steps and
 conditional-gradient steps (the linear subproblem is an assignment problem),
 each accepted by halving from the longest feasible step until it ascends.
@@ -29,6 +31,9 @@ BETHE_TOL = 1e-8
 BETHE_MAX_ITER = 10_000
 
 _TINY = 1e-300
+# Sinkhorn folds its linear scalings into the log domain once one leaves
+# [_SCALER_MIN, 1 / _SCALER_MIN].
+_SCALER_MIN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,17 @@ def _f_value(am: np.ndarray, qm: np.ndarray) -> float:
 def sinkhorn_scale(a) -> DoublyStochasticWitness:
     """Alternating row/column normalization until the worst marginal error <= SINKHORN_TOL.
 
-    Runs in the log domain so badly scaled inputs cannot overflow.  Matrices
-    with support but no total support stagnate; the last iterate is returned
-    and its residual exposes the failure (callers flag converged=False).
+    The first sweep runs in the log domain and leaves the kernel
+    K = exp(logl + log A + logr), the iterate it reached.  Every later sweep
+    is linear on that kernel, u = 1/(K v) then v = 1/(K^T u), and reads the
+    row and column sums of the iterate diag(u) K diag(v) from the same
+    products.  When an entry of u or v leaves [_SCALER_MIN, 1/_SCALER_MIN],
+    the next sweep is a log-domain one again: log v is folded into logr and
+    K rebuilt, so badly scaled inputs cannot overflow and kernel entries
+    that had underflowed come back.  No linear sweep takes an exp or a log
+    of an N x N array.  Matrices with support but no total support
+    stagnate; the last iterate is returned and its residual exposes the
+    failure (callers flag converged=False).
     """
     am = as_matrix(a)
     n = am.shape[0]
@@ -128,23 +141,41 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
         loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
     logl = np.zeros(n)
     logr = np.zeros(n)
-    q = np.full((n, n), 1.0 / n)
+    u = v = None  # linear scalings on the kernel; None right after a log-domain sweep
+    absorb = True
     residual = math.inf
     iterations = 0
     for it in range(1, SINKHORN_MAX_ITER + 1):
-        logl = -logsumexp(loga + logr[None, :], 1)
-        logr = -logsumexp(loga + logl[:, None], 0)
-        q = np.exp(logl[:, None] + loga + logr[None, :])
-        residual = float(
-            max(np.abs(q.sum(axis=1) - 1.0).max(), np.abs(q.sum(axis=0) - 1.0).max())
-        )
+        if absorb:
+            if v is not None:
+                # fold v into logr; the row step recomputes logl, which absorbs u
+                logr = logr + np.log(v)
+            logl = -logsumexp(loga + logr[None, :], 1)
+            logr = -logsumexp(loga + logl[:, None], 0)
+            kernel = np.exp(logl[:, None] + loga + logr[None, :])
+            u = v = None
+            row_sums = kv = kernel.sum(axis=1)
+            col_sums = kernel.sum(axis=0)
+        else:
+            u = 1.0 / kv
+            ktu = u @ kernel
+            v = 1.0 / ktu
+            kv = kernel @ v
+            row_sums = u * kv
+            col_sums = v * ktu
+        residual = float(max(np.abs(row_sums - 1.0).max(), np.abs(col_sums - 1.0).max()))
         iterations = it
         if residual <= SINKHORN_TOL:
             break
+        absorb = u is not None and (
+            min(u.min(), v.min()) < _SCALER_MIN or max(u.max(), v.max()) > 1.0 / _SCALER_MIN
+        )
+    if u is None:
+        return DoublyStochasticWitness(kernel, np.exp(logl), np.exp(logr), iterations, residual)
     return DoublyStochasticWitness(
-        q=q,
-        row_scalers=np.exp(logl),
-        col_scalers=np.exp(logr),
+        q=u[:, None] * kernel * v[None, :],
+        row_scalers=np.exp(logl + np.log(u)),
+        col_scalers=np.exp(logr + np.log(v)),
         iterations=iterations,
         residual=residual,
     )
@@ -257,14 +288,21 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     2013), so the value is certified by a Frank-Wolfe gap <= BETHE_TOL
     whichever steps were taken.  `on_iteration`, when given, receives the
     best objective after every step; it never decreases.  The report counts
-    the steps and carries the last gap as its residual (0 when no
-    permutation fits in the support and the value is exactly -inf).
+    the steps and carries the last gap as its residual.
+
+    When no permutation fits in the support the permanent is 0 and no doubly
+    stochastic point lies on the support: the report is the exact value
+    -inf, with 0 steps, residual 0, converged, and q all zeros, returned
+    before any Sinkhorn sweep (Sinkhorn would stagnate there for all of
+    SINKHORN_MAX_ITER sweeps).
     """
     am = as_matrix(a)
     n = am.shape[0]
     if am.shape[0] != am.shape[1]:
         raise ValueError("bethe_permanent requires a square matrix")
     support = am > 0
+    if _assignment_vertex(np.zeros_like(am), support) is None:
+        return ApproximationReport("bethe", -math.inf, np.zeros_like(am), 0, 0.0, True)
     qm = sinkhorn_scale(am).q
     f_cur = _f_value(am, qm)
     best_f = f_cur
@@ -273,10 +311,8 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     gap = math.inf
     while steps < BETHE_MAX_ITER:
         grad = _bethe_gradient(am, qm, support)
-        vertex = _assignment_vertex(grad, support)
-        if vertex is None:
-            return ApproximationReport("bethe", -math.inf, qm, steps, 0.0, True)
-        direction = vertex - qm
+        # a permutation fits in the support (checked above): a vertex exists
+        direction = _assignment_vertex(grad, support) - qm
         gap = float(np.sum(grad * direction))
         if gap <= BETHE_TOL:
             break

@@ -35,6 +35,8 @@ from permpml.rounding import RoundingTrace, round_allocation
 
 ORACLE_N_LIMIT = 6
 ORACLE_SUPPORT_LIMIT = 6
+# The oracle's simplex grids, per (units, grid_step, support size).
+_GRID_CACHE: dict[tuple[int, float, int], np.ndarray] = {}
 # Batched scores within this relative distance of a support's best are
 # re-evaluated one by one: the batch does not group equal values, and its
 # scores differed from profile_probability_grouped's by at most 1.7e-15
@@ -115,6 +117,21 @@ def _partitions_into(total: int, parts: int, maximum: int):
             yield (first,) + rest
 
 
+def _simplex_grid(units: int, grid_step: float, support: int) -> np.ndarray:
+    """The grid's non-increasing probability vectors of one support size, one per row.
+
+    Cached read-only per (units, grid_step, support): the oracle searches
+    the same grids on every call.
+    """
+    key = (units, grid_step, support)
+    qs = _GRID_CACHE.get(key)
+    if qs is None:
+        qs = np.array(list(_partitions_into(units, support, units)), dtype=float) * grid_step
+        qs.flags.writeable = False
+        _GRID_CACHE[key] = qs
+    return qs
+
+
 def _log_probabilities(qs: np.ndarray, p: Profile) -> np.ndarray:
     """log P(q, phi) of every row of qs, positive vectors of one support.
 
@@ -166,10 +183,9 @@ def exact_pml_oracle(
         raise ValueError("grid_step must divide 1")
     candidates = []
     for support in range(max(1, p.observed), max_support + 1):
-        qs = np.array(list(_partitions_into(units, support, units)), dtype=float)
+        qs = _simplex_grid(units, grid_step, support)
         if not len(qs):
             continue
-        qs *= grid_step
         scores = _log_probabilities(qs, p)
         top = scores.max()
         candidates += list(qs[scores >= top - _TIE_TOL * max(1.0, abs(top))])

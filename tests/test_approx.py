@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from permpml import approx
 from permpml.approx import (
@@ -102,6 +102,17 @@ def test_sinkhorn_without_total_support_flags_nonconvergence(monkeypatch):
     assert report.residual > 1e-10
 
 
+def test_sinkhorn_folds_diverging_scalers_into_the_log_domain(monkeypatch):
+    # with no perfect matching the linear scalings double every sweep and
+    # would overflow after about 1000 sweeps unless folded into the log domain
+    a = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 3000)
+    with np.errstate(over="ignore"):  # the returned scalers are 0 and inf
+        w = sinkhorn_scale(a)
+    assert w.iterations == 3000 and w.residual == 1.0
+    np.testing.assert_array_equal(w.q, [[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+
+
 def test_sinkhorn_preserves_equal_columns():
     m, counts = k_distinct_column_matrix(6, 2, seed=3)
     q = sinkhorn_scale(m).q
@@ -110,6 +121,54 @@ def test_sinkhorn_preserves_equal_columns():
         np.testing.assert_array_equal(q[:, j], q[:, 0])
     for j in range(split + 1, 6):
         np.testing.assert_array_equal(q[:, j], q[:, split])
+
+
+def _log_domain_sinkhorn(a):
+    """Reference: every sweep as two log-sum-exps and an exp over all N^2 entries."""
+    with np.errstate(divide="ignore"):
+        loga = np.log(a)
+    logr = np.zeros(a.shape[0])
+    for it in range(1, approx.SINKHORN_MAX_ITER + 1):
+        logl = -logsumexp(loga + logr[None, :], axis=1)
+        logr = -logsumexp(loga + logl[:, None], axis=0)
+        q = np.exp(logl[:, None] + loga + logr[None, :])
+        residual = max(np.abs(q.sum(axis=1) - 1.0).max(), np.abs(q.sum(axis=0) - 1.0).max())
+        if residual <= approx.SINKHORN_TOL:
+            break
+    return q, it
+
+
+def _perm_workload_matrices():
+    # the benchmark's `perm` inputs: k-distinct columns from seed 2014, block-ones
+    draw = np.random.default_rng(2014)
+    kdistinct = {10: 2, 12: 2, 14: 3, 16: 3, 20: 3, 24: 3, 30: 4, 36: 4, 48: 4}
+    mats = [k_distinct_column_matrix(n, k, int(draw.integers(1 << 31)))[0] for n, k in kdistinct.items()]
+    return mats + [block_ones_matrix(n, k) for n, k in ((12, 2), (36, 5), (60, 5))]
+
+
+def test_sinkhorn_matches_log_domain_reference():
+    rng = np.random.default_rng(7)
+    cubes = [rng.uniform(0, 1, (n, n)) ** 3 for n in rng.integers(2, 31, size=50)]
+    for a in _perm_workload_matrices() + cubes:
+        w = sinkhorn_scale(a)
+        q, sweeps = _log_domain_sinkhorn(a)
+        assert w.iterations == sweeps
+        np.testing.assert_allclose(w.q, q, rtol=0, atol=1e-12)
+        assert w.residual <= approx.SINKHORN_TOL
+
+
+def test_sinkhorn_on_badly_scaled_input():
+    # A = D1 K D2 has K's doubly stochastic scaling; the first, log-domain
+    # sweep takes diagonals of 10^(+-150) into the scalers without overflow
+    rng = np.random.default_rng(11)
+    k = rng.uniform(0.1, 1.0, (30, 30))
+    a = 10.0 ** rng.uniform(-150, 150, 30)[:, None] * k * 10.0 ** rng.uniform(-150, 150, 30)[None, :]
+    w = sinkhorn_scale(a)
+    assert w.residual <= approx.SINKHORN_TOL
+    np.testing.assert_allclose(w.q, sinkhorn_scale(k).q, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        w.q, w.row_scalers[:, None] * a * w.col_scalers[None, :], rtol=1e-12
+    )
 
 
 def test_scaled_sinkhorn_j2():
@@ -156,6 +215,21 @@ def test_bethe_report_counts_its_own_steps():
     assert r.converged and 0.0 <= r.residual <= BETHE_TOL
     assert obj["residual"] == r.residual
     assert sinkhorn_scale(a).iterations == 43
+
+
+def test_bethe_without_perfect_matching_skips_sinkhorn(monkeypatch):
+    # no permutation fits in the support: Sinkhorn would stagnate for all of
+    # SINKHORN_MAX_ITER sweeps, so Bethe must answer before calling it
+    a = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def refuse(_):
+        raise AssertionError("sinkhorn_scale called")
+
+    monkeypatch.setattr(approx, "sinkhorn_scale", refuse)
+    r = bethe_permanent(a)
+    assert r.log_value == -math.inf
+    assert (r.iterations, r.residual, r.converged) == (0, 0.0, True)
+    np.testing.assert_array_equal(r.q, np.zeros((3, 3)))
 
 
 def test_bethe_j2_tight_case():
