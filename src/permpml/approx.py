@@ -8,6 +8,8 @@ log domain when they grow large (Schmitzer 2019); the Bethe optimum is
 found from the Sinkhorn witness by equality-constrained Newton steps and
 conditional-gradient steps (the linear subproblem is an assignment problem),
 each accepted by halving from the longest feasible step until it ascends.
+The assignment solver, `scipy.optimize.linear_sum_assignment`, is imported by
+the first Bethe call and not by `import permpml`.
 
 Also provides the two structured test-matrix generators used throughout the
 test-suite: block-diagonal all-ones matrices and matrices with a prescribed
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp
 
@@ -210,6 +211,8 @@ def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray | N
     Returns None when no permutation fits in the support (the permanent is
     zero on that support).
     """
+    from scipy.optimize import linear_sum_assignment  # here, so `import permpml` skips it
+
     n = score.shape[0]
     penalty = float(np.abs(score).max() + 1.0) * (n + 1)
     cost = np.where(support, -score, penalty)

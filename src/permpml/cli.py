@@ -27,6 +27,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _strict_json(record: dict) -> str:
+    """JSON with `null` for the non-finite floats that strict parsers refuse."""
+    return json.dumps(
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in record.items()},
+        allow_nan=False,
+    )
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -79,7 +87,7 @@ def _cmd_perm_compare(args) -> int:
         "gap_scaled_sinkhorn": exact - scaled if exact is not None else None,
     }
     if args.format == "json":
-        _write(json.dumps(record), args.out)
+        _write(_strict_json(record), args.out)
     else:
         _write(",".join(_fmt(v) for v in record.values()), args.out)
     return EXIT_OK

@@ -18,7 +18,6 @@ import math
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln
 
 NAIVE_LIMIT = 8
 
@@ -215,7 +214,7 @@ def _log_permanent_connected(m: np.ndarray) -> float:
     with np.errstate(divide="ignore"):
         log_c = np.log(rows)
     lc = log_coefficient(phi[order[1:]], log_c[:, 0].tolist(), log_c[:, 1:], rho)
-    return lc + float(np.sum(gammaln(phi + 1.0)))
+    return lc + sum(math.lgamma(f + 1) for f in phi.tolist())
 
 
 def is_doubly_stochastic(a, tol: float) -> bool:

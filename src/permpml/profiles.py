@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from permpml.permanent import log_coefficient, log_permanent
 
@@ -105,9 +104,8 @@ def check_pseudo_distribution(q) -> np.ndarray:
 
 def log_c_phi(p: Profile) -> float:
     """log of the sequence-count factor n! / prod_j (m_j!)^{phi_j}."""
-    return float(
-        gammaln(p.n + 1)
-        - sum(c * gammaln(m + 1) for m, c in zip(p.freqs, p.counts))
+    return math.lgamma(p.n + 1) - sum(
+        c * math.lgamma(m + 1) for m, c in zip(p.freqs, p.counts)
     )
 
 
@@ -135,8 +133,8 @@ def profile_probability_matrix(q, p: Profile, phi0: int) -> np.ndarray:
 def profile_probability_exact(q, p: Profile, phi0: int) -> float:
     """log P(q, phi) via the permanent of the profile probability matrix."""
     a = profile_probability_matrix(q, p, phi0)
-    counts = np.concatenate(([phi0], p.counts))
-    return log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + log_permanent(a)
+    log_counts = sum(math.lgamma(c + 1) for c in (phi0, *p.counts))
+    return log_c_phi(p) - log_counts + log_permanent(a)
 
 
 def profile_probability_bruteforce(q, p: Profile) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permpml.cli import build_parser, main
+from permpml.cli import _strict_json, build_parser, main
 from permpml.permanent import matrix_to_json
 from permpml.profiles import Profile
 
@@ -143,6 +143,31 @@ def test_perm_compare_json_format(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["n"] == 2
     assert obj["log_perm"] == pytest.approx(math.log(2))
+
+
+def test_perm_compare_json_writes_null_for_non_finite_values():
+    # the record perm-compare builds for a matrix with no perfect matching
+    record = {
+        "n": 3,
+        "log_perm": -math.inf,
+        "log_sinkhorn": 0.5,
+        "log_bethe": -math.inf,
+        "gap_bethe": math.nan,
+        "gap_scaled_sinkhorn": -math.inf,
+    }
+
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    obj = json.loads(_strict_json(record), parse_constant=refuse)
+    assert obj == {
+        "n": 3,
+        "log_perm": None,
+        "log_sinkhorn": 0.5,
+        "log_bethe": None,
+        "gap_bethe": None,
+        "gap_scaled_sinkhorn": None,
+    }
 
 
 def test_perm_compare_past_exact_limits(tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""What `import permpml` loads, and the log-factorials that stand in for scipy.special."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.special import gammaln
+
+from permpml.permanent import log_permanent
+from permpml.profiles import Profile, log_c_phi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# scipy's subpackages in sys.modules, private ones included
+SCIPY_LOADED = '" ".join(sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}))'
+
+
+def _fresh(code: str) -> str:
+    # a fresh interpreter: this one has loaded scipy.special for the tests below
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nimport numpy as np\n" + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy_beyond_linalg_until_bethe_runs():
+    out = _fresh(
+        f"import permpml\nprint({SCIPY_LOADED})\n"
+        "print(permpml.bethe_permanent(np.ones((2, 2))).log_value)\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    loaded, bethe, optimize_after = out.splitlines()
+    assert not {"special", "optimize"} & set(loaded.split()), loaded
+    # anything else (scipy.sparse.csgraph, say) is imported where it is used
+    assert loaded == _fresh(f"import scipy.linalg\nprint({SCIPY_LOADED})")
+    assert abs(float(bethe)) < 1e-8
+    assert optimize_after == "True"
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**6])
+def test_log_c_phi_matches_gammaln(n):
+    # symbol counts of n uniform draws on n/2 symbols, and their profile
+    counts = np.random.default_rng(n).multinomial(n, np.full(n // 2, 2.0 / n))
+    freqs, mult = np.unique(counts[counts > 0], return_counts=True)
+    p = Profile(tuple(freqs.tolist()), tuple(mult.tolist()))
+    assert p.n == n
+    reference = gammaln(n + 1) - float(np.sum(mult * gammaln(freqs + 1)))
+    assert log_c_phi(p) == pytest.approx(reference, rel=1e-14)
+
+
+def test_log_permanent_of_ones_is_log_factorial():
+    for n in range(1, 20):
+        assert log_permanent(np.ones((n, n))) == pytest.approx(math.lgamma(n + 1), rel=1e-14, abs=1e-14)
+
+
+def test_lgamma_agrees_with_gammaln_on_integers():
+    x = np.arange(1, 20_001)
+    ours = np.array([math.lgamma(v) for v in x.tolist()])
+    # at most 4 ulps apart (5.03e-16 relative at x = 3087) with glibc's lgamma
+    np.testing.assert_allclose(ours, gammaln(x), rtol=1e-15, atol=0)
