@@ -9,7 +9,8 @@ found from the Sinkhorn witness by equality-constrained Newton steps and
 conditional-gradient steps (the linear subproblem is an assignment problem),
 each accepted by halving from the longest feasible step until it ascends.
 The assignment solver, `scipy.optimize.linear_sum_assignment`, is imported by
-the first Bethe call and not by `import permpml`.
+the first Bethe call and not by `import permpml`.  All three answer a zero
+permanent the same way, from `permanent.has_perfect_matching`.
 
 Also provides the two structured test-matrix generators used throughout the
 test-suite: block-diagonal all-ones matrices and matrices with a prescribed
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp
+from permpml.permanent import _require_square, as_matrix, has_perfect_matching, is_doubly_stochastic, logsumexp
 
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITER = 100_000
@@ -128,33 +129,30 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
     the next sweep is a log-domain one again: log v is folded into logr and
     K rebuilt, so badly scaled inputs cannot overflow and kernel entries
     that had underflowed come back.  No linear sweep takes an exp or a log
-    of an N x N array.  Matrices with support but no total support
-    stagnate; the last iterate is returned and its residual exposes the
-    failure (callers flag converged=False).
+    of an N x N array.  With no perfect matching no scaling exists: ValueError.
+    With one but no total support the iterates stagnate; the last is returned
+    and its residual exposes the failure (callers flag converged=False).
     """
     am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("sinkhorn_scale requires a square matrix")
-    if np.any(am.sum(axis=0) == 0) or np.any(am.sum(axis=1) == 0):
-        raise ValueError("every row and column needs at least one positive entry")
+    n = _require_square(am)
+    if not has_perfect_matching(am > 0):
+        raise ValueError("no permutation fits in the support: no doubly stochastic scaling exists")
     with np.errstate(divide="ignore"):
         loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
     logl = np.zeros(n)
     logr = np.zeros(n)
-    u = v = None  # linear scalings on the kernel; None right after a log-domain sweep
+    u = v = np.ones(n)  # linear scalings on the kernel; ones right after a log-domain sweep
     absorb = True
     residual = math.inf
     iterations = 0
     for it in range(1, SINKHORN_MAX_ITER + 1):
         if absorb:
-            if v is not None:
-                # fold v into logr; the row step recomputes logl, which absorbs u
-                logr = logr + np.log(v)
+            # fold v into logr; the row step recomputes logl, which absorbs u
+            logr = logr + np.log(v)
             logl = -logsumexp(loga + logr[None, :], 1)
             logr = -logsumexp(loga + logl[:, None], 0)
             kernel = np.exp(logl[:, None] + loga + logr[None, :])
-            u = v = None
+            u = v = np.ones(n)
             row_sums = kv = kernel.sum(axis=1)
             col_sums = kernel.sum(axis=0)
         else:
@@ -168,11 +166,7 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
         iterations = it
         if residual <= SINKHORN_TOL:
             break
-        absorb = u is not None and (
-            min(u.min(), v.min()) < _SCALER_MIN or max(u.max(), v.max()) > 1.0 / _SCALER_MIN
-        )
-    if u is None:
-        return DoublyStochasticWitness(kernel, np.exp(logl), np.exp(logr), iterations, residual)
+        absorb = min(u.min(), v.min()) < _SCALER_MIN or max(u.max(), v.max()) > 1.0 / _SCALER_MIN
     return DoublyStochasticWitness(
         q=u[:, None] * kernel * v[None, :],
         row_scalers=np.exp(logl + np.log(u)),
@@ -183,8 +177,10 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
 
 
 def sinkhorn_permanent(a) -> ApproximationReport:
-    """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent."""
+    """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent, exact (-inf) when it is 0."""
     am = as_matrix(a)
+    if not has_perfect_matching(am > 0):
+        return ApproximationReport("sinkhorn", -math.inf, np.zeros_like(am), 0, 0.0, True)
     w = sinkhorn_scale(am)
     return ApproximationReport(
         "sinkhorn", _u_value(am, w.q), w.q, w.iterations, w.residual, w.residual <= SINKHORN_TOL
@@ -205,20 +201,15 @@ def _bethe_gradient(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.n
     return np.where(support, np.log(np.where(support, am, 1.0)) - np.log(q) - np.log1p(-q) - 2.0, 0.0)
 
 
-def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray | None:
+def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Permutation matrix within the support maximizing the linear score.
 
-    Returns None when no permutation fits in the support (the permanent is
-    zero on that support).
+    Entries off the support are forbidden (cost inf), so some permutation
+    must fit in the support (`has_perfect_matching`).
     """
     from scipy.optimize import linear_sum_assignment  # here, so `import permpml` skips it
 
-    n = score.shape[0]
-    penalty = float(np.abs(score).max() + 1.0) * (n + 1)
-    cost = np.where(support, -score, penalty)
-    rows, cols = linear_sum_assignment(cost)
-    if not support[rows, cols].all():
-        return None
+    rows, cols = linear_sum_assignment(np.where(support, -score, np.inf))
     vertex = np.zeros_like(score)
     vertex[rows, cols] = 1.0
     return vertex
@@ -264,13 +255,9 @@ def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
     Returns (point, F), or None when 60 halvings (down to about 1e-18 of the
     first try) all fall below floor.
     """
-    t = 1.0
-    shrink = d < 0
-    grow = d > 0
-    if np.any(shrink):
-        t = min(t, 0.995 * float(np.min(qm[shrink] / -d[shrink])))
-    if np.any(grow):
-        t = min(t, 0.995 * float(np.min((1.0 - qm[grow]) / d[grow])))
+    shrink, grow = d < 0, d > 0
+    t = min(1.0, 0.995 * float(np.min(qm[shrink] / -d[shrink], initial=np.inf)))
+    t = min(t, 0.995 * float(np.min((1.0 - qm[grow]) / d[grow], initial=np.inf)))
     for _ in range(60):
         cand = qm + t * d
         f_new = _f_value(am, cand)
@@ -293,18 +280,14 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     best objective after every step; it never decreases.  The report counts
     the steps and carries the last gap as its residual.
 
-    When no permutation fits in the support the permanent is 0 and no doubly
-    stochastic point lies on the support: the report is the exact value
-    -inf, with 0 steps, residual 0, converged, and q all zeros, returned
-    before any Sinkhorn sweep (Sinkhorn would stagnate there for all of
-    SINKHORN_MAX_ITER sweeps).
+    When no permutation fits in the support (`has_perfect_matching`) the
+    permanent is 0 and no doubly stochastic point lies on it: the report is
+    the exact -inf, 0 steps, residual 0, converged, q all zeros, no sweep.
     """
     am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("bethe_permanent requires a square matrix")
+    n = _require_square(am)
     support = am > 0
-    if _assignment_vertex(np.zeros_like(am), support) is None:
+    if not has_perfect_matching(support):
         return ApproximationReport("bethe", -math.inf, np.zeros_like(am), 0, 0.0, True)
     qm = sinkhorn_scale(am).q
     f_cur = _f_value(am, qm)
@@ -314,7 +297,6 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     gap = math.inf
     while steps < BETHE_MAX_ITER:
         grad = _bethe_gradient(am, qm, support)
-        # a permutation fits in the support (checked above): a vertex exists
         direction = _assignment_vertex(grad, support) - qm
         gap = float(np.sum(grad * direction))
         if gap <= BETHE_TOL:

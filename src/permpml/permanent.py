@@ -160,9 +160,9 @@ def log_coefficient(phi, log_w0, log_w, rho):
 def log_permanent(a) -> float:
     """Natural log of the permanent, exact; -inf for a zero permanent.
 
-    The permanent is the product over the connected components of the
-    bipartite graph of the nonzero entries (rows and columns its vertices),
-    and zero if a component has more rows than columns or fewer; a
+    It is zero when no permutation fits in the support (`has_perfect_matching`),
+    else the product over the connected components of the bipartite graph of
+    the nonzero entries (rows and columns its vertices), each one square; a
     connected matrix is the one-component case.  Within a component with
     phi_j copies of each distinct column c_j, perm is prod_j phi_j! times
     the coefficient of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.
@@ -175,13 +175,30 @@ def log_permanent(a) -> float:
     limit; a sparse matrix stops only when one of its components does.
     """
     m = as_matrix(a)
-    _require_square(m)
+    support = m > 0
+    if not has_perfect_matching(support):
+        return -math.inf
     total = 0.0
-    for rows, cols in _components(m > 0):
-        if len(rows) != len(cols):
-            return -math.inf
+    for rows, cols in _components(support):
         total += _log_permanent_connected(m[np.ix_(rows, cols)])
     return total
+
+
+def has_perfect_matching(support: np.ndarray) -> bool:
+    """True iff some permutation fits in the square 0/1 matrix `support`: the
+    one zero-permanent test of `log_permanent`, Sinkhorn and Bethe.  The
+    identity fits when the diagonal has no zero; otherwise a maximum bipartite
+    matching (Hopcroft & Karp 1973; imported here, off `import permpml`) must
+    cover every row.
+    """
+    n = _require_square(support)
+    if support.diagonal().all():
+        return True
+    from scipy.sparse import csgraph, csr_matrix
+
+    rows, cols = np.nonzero(support)
+    graph = csr_matrix((np.ones(len(cols)), cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    return bool(np.all(csgraph.maximum_bipartite_matching(graph) >= 0))
 
 
 def _components(support: np.ndarray):

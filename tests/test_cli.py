@@ -184,14 +184,20 @@ def test_perm_compare_past_exact_limits(tmp_path, capsys):
     assert cells[0] == "20" and cells[1] == "" and cells[5] == ""
 
 
-def test_perm_compare_zero_row_exits_2(tmp_path, capsys):
-    m = np.ones((3, 3))
-    m[1] = 0.0
+def test_perm_compare_zero_row_writes_nulls(tmp_path, capsys):
+    # a zero row is the simplest support with no perfect matching; every
+    # method answers the zero permanent exactly, without a Sinkhorn sweep
+    zero_row = np.ones((3, 3))
+    zero_row[1] = 0.0
+    no_matching = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     mfile = tmp_path / "m.json"
-    mfile.write_text(matrix_to_json(m))
-    assert main(["perm-compare", str(mfile)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    for m in (zero_row, no_matching):
+        mfile.write_text(matrix_to_json(m))
+        code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj.pop("n") == 3
+        assert set(obj.values()) == {None}, obj
 
 
 def test_perm_compare_missing_rows_exits_2(tmp_path, capsys):

@@ -47,6 +47,19 @@ def test_import_loads_no_scipy_beyond_linalg_until_bethe_runs():
     assert optimize_after == "True"
 
 
+def test_zero_on_the_diagonal_loads_csgraph_but_not_optimize():
+    # a positive diagonal settles has_perfect_matching without the matching;
+    # a zero on it runs the matching, which finds none, so no Bethe
+    # assignment is solved
+    loaded = "print('scipy.sparse.csgraph' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+    out = _fresh(
+        "import permpml\n"
+        "permpml.sinkhorn_permanent(np.eye(2))\n" + loaded
+        + "print(permpml.sinkhorn_permanent(np.array([[0.0, 1.0], [0.0, 1.0]])).log_value)\n" + loaded
+    )
+    assert out.splitlines() == ["False False", "-inf", "True False"]
+
+
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
 def test_log_c_phi_matches_gammaln(n):
     # symbol counts of n uniform draws on n/2 symbols, and their profile
