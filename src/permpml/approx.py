@@ -9,8 +9,9 @@ found from the Sinkhorn witness by equality-constrained Newton steps and
 conditional-gradient steps (the linear subproblem is an assignment problem),
 each accepted by halving from the longest feasible step until it ascends.
 The assignment solver, `scipy.optimize.linear_sum_assignment`, is imported by
-the first Bethe call and not by `import permpml`.  All three answer a zero
-permanent the same way, from `permanent.has_perfect_matching`.
+the first Bethe call and not by `import permpml`.  All three run on the fully
+indecomposable blocks of the support (`permanent.support_blocks`), and answer
+-inf without a sweep when no permutation fits in it.
 
 Also provides the two structured test-matrix generators used throughout the
 test-suite: block-diagonal all-ones matrices and matrices with a prescribed
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from permpml.permanent import _require_square, as_matrix, has_perfect_matching, is_doubly_stochastic, logsumexp
+from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp, support_blocks
 
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITER = 100_000
@@ -40,7 +41,7 @@ _SCALER_MIN = 1e-100
 
 @dataclass(frozen=True)
 class DoublyStochasticWitness:
-    """Diagonal-scaling witness q = diag(row_scalers) a diag(col_scalers)."""
+    """Diagonal-scaling witness q = diag(row_scalers) a diag(col_scalers) of a within its blocks."""
 
     q: np.ndarray
     row_scalers: np.ndarray
@@ -118,8 +119,26 @@ def _f_value(am: np.ndarray, qm: np.ndarray) -> float:
     return _u_value(am, qm) + _v_value(qm)
 
 
+def _within_blocks(am: np.ndarray):
+    """am with the entries between its blocks zeroed, and its column labels; None with no blocks."""
+    blocks = support_blocks(am > 0)
+    return None if blocks is None else (np.where(blocks[0][:, None] == blocks[1], am, 0.0), blocks[1])
+
+
 def sinkhorn_scale(a) -> DoublyStochasticWitness:
     """Alternating row/column normalization until the worst marginal error <= SINKHORN_TOL.
+
+    Runs on the blocks of the support, where a scaling exists (Sinkhorn &
+    Knopp 1967); with no perfect matching none does: ValueError.
+    """
+    reduced = _within_blocks(as_matrix(a))
+    if reduced is None:
+        raise ValueError("no permutation fits in the support: no doubly stochastic scaling exists")
+    return _scale(reduced[0])
+
+
+def _scale(am: np.ndarray) -> DoublyStochasticWitness:
+    """`sinkhorn_scale` on a matrix whose entries all lie in its blocks.
 
     The first sweep runs in the log domain and leaves the kernel
     K = exp(logl + log A + logr), the iterate it reached.  Every later sweep
@@ -129,14 +148,10 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
     the next sweep is a log-domain one again: log v is folded into logr and
     K rebuilt, so badly scaled inputs cannot overflow and kernel entries
     that had underflowed come back.  No linear sweep takes an exp or a log
-    of an N x N array.  With no perfect matching no scaling exists: ValueError.
-    With one but no total support the iterates stagnate; the last is returned
-    and its residual exposes the failure (callers flag converged=False).
+    of an N x N array.  Ill-conditioned inputs can still use up all the
+    sweeps; the last iterate's residual exposes it (callers flag converged=False).
     """
-    am = as_matrix(a)
-    n = _require_square(am)
-    if not has_perfect_matching(am > 0):
-        raise ValueError("no permutation fits in the support: no doubly stochastic scaling exists")
+    n = len(am)
     with np.errstate(divide="ignore"):
         loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
     logl = np.zeros(n)
@@ -179,9 +194,10 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
 def sinkhorn_permanent(a) -> ApproximationReport:
     """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent, exact (-inf) when it is 0."""
     am = as_matrix(a)
-    if not has_perfect_matching(am > 0):
+    reduced = _within_blocks(am)
+    if reduced is None:
         return ApproximationReport("sinkhorn", -math.inf, np.zeros_like(am), 0, 0.0, True)
-    w = sinkhorn_scale(am)
+    w = _scale(reduced[0])
     return ApproximationReport(
         "sinkhorn", _u_value(am, w.q), w.q, w.iterations, w.residual, w.residual <= SINKHORN_TOL
     )
@@ -205,7 +221,7 @@ def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Permutation matrix within the support maximizing the linear score.
 
     Entries off the support are forbidden (cost inf), so some permutation
-    must fit in the support (`has_perfect_matching`).
+    must fit in the support.
     """
     from scipy.optimize import linear_sum_assignment  # here, so `import permpml` skips it
 
@@ -215,16 +231,16 @@ def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray:
     return vertex
 
 
-def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarray, free: np.ndarray):
     """Equality-constrained Newton step for F on the support entries.
 
     The Hessian of F is diagonal on the support, h = -1/Q + 1/(1-Q), and
     indefinite: F is concave only on the doubly stochastic affine slice.
     With w = 1/h the step is d = -(g + a_i + b_j) w, and the marginal
-    constraints on d leave a (2N-1)-dim system for the row and column
-    multipliers a, b (the last column's b fixed at 0 for rank).  Returns the
-    full-matrix step, or None when some Q = 1/2 (w infinite) or the system
-    is singular.
+    constraints on d leave a system for the row and column multipliers a, b
+    that is singular once per block: b = 0 on each block's column outside
+    `free`.  Returns the full-matrix step, or None when some Q = 1/2
+    (w infinite) or the system is singular.
     """
     n = qm.shape[0]
     q = np.clip(qm, _TINY, 1.0 - 1e-16)
@@ -233,16 +249,18 @@ def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarra
     if not np.all(np.isfinite(w)):
         return None
     gw = grad * w
-    wc = w[:, : n - 1]
-    schur = np.block([[np.diag(w.sum(axis=1)), wc], [wc.T, np.diag(wc.sum(axis=0))]])
+    wc = w[:, free]
+    # w.sum(axis=0)[free], not wc.sum(axis=0): the sums of the copy differ in the last ulp
+    schur = np.block([[np.diag(w.sum(axis=1)), wc], [wc.T, np.diag(w.sum(axis=0)[free])]])
     rhs = np.concatenate(
-        [qm.sum(axis=1) - 1.0 - gw.sum(axis=1), (qm.sum(axis=0) - 1.0 - gw.sum(axis=0))[: n - 1]]
+        [qm.sum(axis=1) - 1.0 - gw.sum(axis=1), (qm.sum(axis=0) - 1.0 - gw.sum(axis=0))[free]]
     )
     try:
         mult = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError:
         return None
-    b = np.append(mult[n:], 0.0)
+    b = np.zeros(n)
+    b[free] = mult[n:]
     return -(grad + mult[:n, None] + b[None, :]) * w
 
 
@@ -280,16 +298,20 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     best objective after every step; it never decreases.  The report counts
     the steps and carries the last gap as its residual.
 
-    When no permutation fits in the support (`has_perfect_matching`) the
-    permanent is 0 and no doubly stochastic point lies on it: the report is
-    the exact -inf, 0 steps, residual 0, converged, q all zeros, no sweep.
+    It runs on the blocks of the support (`permanent.support_blocks`).  With
+    no perfect matching no doubly stochastic point lies on the support: the
+    report is the exact -inf, 0 steps, residual 0, converged, q all zeros.
     """
     am = as_matrix(a)
-    n = _require_square(am)
-    support = am > 0
-    if not has_perfect_matching(support):
+    reduced = _within_blocks(am)
+    if reduced is None:
         return ApproximationReport("bethe", -math.inf, np.zeros_like(am), 0, 0.0, True)
-    qm = sinkhorn_scale(am).q
+    am, col_labels = reduced
+    n = len(am)
+    support = am > 0
+    free = np.ones(n, dtype=bool)  # Newton pins the last column of each block
+    free[n - 1 - np.unique(col_labels[::-1], return_index=True)[1]] = False
+    qm = _scale(am).q
     f_cur = _f_value(am, qm)
     best_f = f_cur
     allow_newton = True
@@ -305,7 +327,7 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
         noise = 1e-12 * (1.0 + abs(f_cur))
         step = None
         if allow_newton:
-            delta = _bethe_newton_direction(qm, support, grad)
+            delta = _bethe_newton_direction(qm, support, grad, free)
             # a sane Newton step never exceeds the polytope diameter; huge
             # steps are the ill-conditioned boundary regime, FW's territory
             if delta is not None and np.any(delta) and np.abs(delta).max() <= n:

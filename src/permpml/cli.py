@@ -68,11 +68,9 @@ def _cmd_pml(args) -> int:
 def _cmd_perm_compare(args) -> int:
     with open(args.matrix_file) as fh:
         matrix = matrix_from_json(fh.read())
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
     try:
         exact = log_permanent(matrix)
-    except ValueError:  # past the limits of the exact dynamic program
+    except ValueError:  # past the limits of the exact dynamic program (non-square fails below)
         exact = None
     sinkhorn = sinkhorn_permanent(matrix).log_value
     scaled = sinkhorn - matrix.shape[0]  # scaled_sinkhorn_permanent's shift

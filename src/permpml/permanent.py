@@ -4,9 +4,9 @@ These are the ground-truth oracles of the package: everything approximate is
 eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
 reference of the tests.  `log_permanent` runs a log-domain dynamic program
-over the counts of each distinct column, on each connected component of the
-matrix; the same program evaluates profile probabilities
-(`profiles.profile_probability_grouped`), one or a batch at a time.  Hard
+over the counts of each distinct column, on each fully indecomposable block
+of the support (`support_blocks`); the same program evaluates profile
+probabilities (`profiles.profile_probability_grouped`), one or a batch at a time.  Hard
 limits on its states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
 """
@@ -160,68 +160,54 @@ def log_coefficient(phi, log_w0, log_w, rho):
 def log_permanent(a) -> float:
     """Natural log of the permanent, exact; -inf for a zero permanent.
 
-    It is zero when no permutation fits in the support (`has_perfect_matching`),
-    else the product over the connected components of the bipartite graph of
-    the nonzero entries (rows and columns its vertices), each one square; a
-    connected matrix is the one-component case.  Within a component with
-    phi_j copies of each distinct column c_j, perm is prod_j phi_j! times
-    the coefficient of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.
-    Every monomial has degree N, so the column type of largest multiplicity
-    enters with y_0 = 1 and its power follows from the others; rho_i equal
-    rows contribute (c_i0 + u_i)^{rho_i}.  The coefficient is
-    `log_coefficient`'s: prod_{j>=1} (phi_j+1) states, exp(O(k log(N/k)))
-    for k distinct columns whatever N is.  A dense component with all
-    columns distinct has 2^(N-1) states and stops at N = 19 under the work
-    limit; a sparse matrix stops only when one of its components does.
+    It is zero when no permutation fits in the support, else the product
+    over the blocks of `support_blocks`.  Within a block with phi_j copies
+    of each distinct column c_j, perm is prod_j phi_j! times the coefficient
+    of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.  Every monomial has
+    degree N, so the column type of largest multiplicity enters with y_0 = 1
+    and its power follows from the others; rho_i equal rows contribute
+    (c_i0 + u_i)^{rho_i}.  The coefficient is `log_coefficient`'s:
+    prod_{j>=1} (phi_j+1) states, exp(O(k log(N/k))) for k distinct columns
+    whatever N is.  A dense block with all columns distinct has 2^(N-1)
+    states and stops at N = 19 under the work limit; a sparse matrix stops
+    only when one of its blocks does.
     """
     m = as_matrix(a)
-    support = m > 0
-    if not has_perfect_matching(support):
+    blocks = support_blocks(m > 0)
+    if blocks is None:
         return -math.inf
-    total = 0.0
-    for rows, cols in _components(support):
-        total += _log_permanent_connected(m[np.ix_(rows, cols)])
-    return total
+    rows, cols = blocks
+    return sum((_log_permanent_connected(m[np.ix_(rows == b, cols == b)]) for b in np.unique(rows)), 0.0)
 
 
-def has_perfect_matching(support: np.ndarray) -> bool:
-    """True iff some permutation fits in the square 0/1 matrix `support`: the
-    one zero-permanent test of `log_permanent`, Sinkhorn and Bethe.  The
-    identity fits when the diagonal has no zero; otherwise a maximum bipartite
-    matching (Hopcroft & Karp 1973; imported here, off `import permpml`) must
-    cover every row.
+def support_blocks(support: np.ndarray):
+    """Fully indecomposable blocks of the square 0/1 matrix `support` (Dulmage &
+    Mendelsohn 1958): a label per row and per column, or None when no
+    permutation fits.  An entry lies on a perfect matching iff its row and
+    column share a label.  The one support analysis of `log_permanent`,
+    Sinkhorn and Bethe.  A positive matrix is one block.  Otherwise a perfect
+    matching is the identity when the diagonal has no zero, else a maximum
+    bipartite matching (Hopcroft & Karp 1973), and the blocks are the strongly
+    connected components of the digraph of `support[:, match]`.
+    `scipy.sparse.csgraph` is imported here, off `import permpml`.
     """
     n = _require_square(support)
-    if support.diagonal().all():
-        return True
+    if support.all():
+        return np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
     from scipy.sparse import csgraph, csr_matrix
 
     rows, cols = np.nonzero(support)
-    graph = csr_matrix((np.ones(len(cols)), cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-    return bool(np.all(csgraph.maximum_bipartite_matching(graph) >= 0))
-
-
-def _components(support: np.ndarray):
-    """Sorted row and column indices of each connected component of the
-    bipartite graph of a square 0/1 matrix, grown breadth-first from its
-    first unplaced row.  Every row lies in one; a zero column lies in none.
-    """
-    n = len(support)
-    row_seen = np.zeros(n, dtype=bool)
-    col_seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if row_seen[start]:
-            continue
-        row_seen[start] = True
-        rows, cols = [np.array([start])], []
-        while len(rows[-1]):
-            new_cols = np.flatnonzero(support[rows[-1]].any(axis=0) & ~col_seen)
-            col_seen[new_cols] = True
-            new_rows = np.flatnonzero(support[:, new_cols].any(axis=1) & ~row_seen)
-            row_seen[new_rows] = True
-            cols.append(new_cols)
-            rows.append(new_rows)
-        yield np.sort(np.concatenate(rows)), np.sort(np.concatenate(cols))
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    match = np.arange(n)
+    if not support.diagonal().all():
+        graph = csr_matrix((np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n))
+        match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+        if np.any(match < 0):
+            return None
+    position = np.argsort(match).astype(np.int32)  # of each column in the matching
+    graph = csr_matrix((np.ones(len(cols)), position[cols], indptr), shape=(n, n))
+    labels = csgraph.connected_components(graph, connection="strong")[1]
+    return labels, labels[position]
 
 
 def _log_permanent_connected(m: np.ndarray) -> float:

@@ -208,6 +208,14 @@ def test_perm_compare_missing_rows_exits_2(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_perm_compare_non_square_exits_2(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(matrix_to_json(np.ones((2, 3))))
+    assert main(["perm-compare", str(mfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "square" in captured.err
+
+
 def test_oracle_pml_missing_freqs_exits_2(tmp_path, capsys):
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"counts": [1]}))

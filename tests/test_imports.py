@@ -48,16 +48,17 @@ def test_import_loads_no_scipy_beyond_linalg_until_bethe_runs():
 
 
 def test_zero_on_the_diagonal_loads_csgraph_but_not_optimize():
-    # a positive diagonal settles has_perfect_matching without the matching;
-    # a zero on it runs the matching, which finds none, so no Bethe
-    # assignment is solved
+    # a positive matrix is one block without csgraph; any zero sends the
+    # support to csgraph for its blocks (with no matching, as in the last
+    # matrix, there are none); Sinkhorn solves no assignment
     loaded = "print('scipy.sparse.csgraph' in sys.modules, 'scipy.optimize' in sys.modules)\n"
     out = _fresh(
         "import permpml\n"
-        "permpml.sinkhorn_permanent(np.eye(2))\n" + loaded
-        + "print(permpml.sinkhorn_permanent(np.array([[0.0, 1.0], [0.0, 1.0]])).log_value)\n" + loaded
+        "permpml.sinkhorn_permanent(np.ones((2, 2)))\n" + loaded
+        + "print(permpml.sinkhorn_permanent(np.eye(2)).log_value)\n" + loaded
+        + "print(permpml.sinkhorn_permanent(np.array([[0.0, 1.0], [0.0, 1.0]])).log_value)\n"
     )
-    assert out.splitlines() == ["False False", "-inf", "True False"]
+    assert out.splitlines() == ["False False", "0.0", "True False", "-inf"]
 
 
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
