@@ -11,7 +11,7 @@ The solver works on the program's small dual: one price nu_j per observed
 frequency (nu_0 = 0), a mass price lam, and the constraints
 log z_i(nu) <= lam r_i per level with z_i(nu) = sum_j r_i^{m_j} e^{-nu_j}.
 A primal-dual interior-point Newton method (Mehrotra predictor-corrector on
-the (k+1+levels)-square KKT system) follows the central path
+the KKT system in (nu, lam, t)) follows the central path
 t_i (lam r_i - log z_i) = mu, where t_i is the row sum of level i, and a
 last Newton solve on the active rows it reveals lands on the optimal face.
 The returned matrix is S_ij = t_i softmax_j(m_j log r_i - nu_j); its log g
@@ -25,9 +25,11 @@ The row log-partitions log z_i come from `permanent.logsumexp`, whose log1p
 form the certificate needs: at the floor levels r_i ~ 1/(2n^2) the dual
 constraint compares log z_i with lam r_i, both of order 1/n^2, and the log
 of the shifted sum would err by an ulp of 1, about n^2 ulps of the slack (at
-n = 10^4 it pushed reported gaps to 1.7e-8, past G_TOL).  The KKT systems
-are solved by LAPACK's getrf and getrs, called directly; a predictor and its
-corrector share one factorization.
+n = 10^4 it pushed reported gaps to 1.7e-8, past G_TOL).  The KKT system's
+block of level rows is diagonal, so each Newton step eliminates the levels
+whose multiplier stays below 1/sqrt(eps) and solves the small rest
+(k + 1 unknowns plus the levels kept) with numpy alone; a predictor and its
+corrector share one inverse of that reduced matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from permpml.permanent import logsumexp
 from permpml.profiles import Profile
@@ -48,6 +48,8 @@ G_MAX_ITER = 100
 
 _FLOOR = 1e-250
 _FOOTPRINT = 1e-30
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -291,39 +293,68 @@ def _row_compositions(expo: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.
     return lz, np.exp(shifted - lz[:, None])
 
 
-def _newton_step(xi, r, phi, t, rd, a, b, c, lu=None):
-    """One linearization of the KKT system in (nu, lam, t).
+def _newton_step(xi, r, phi, t, rd, a, b, c, reduced=None):
+    """One linearization of the KKT system in (nu, lam, t), solved on its Schur complement.
 
     The residuals are the column sums phi - sum_i t_i xi_i, the mass 1 - r.t
     and one row equation a_i dt_i + b_i ds_i = c_i per level, where the slack
-    s_i = lam r_i - log z_i(nu) moves by ds = rd + r dlam + xi dnu (rd is the
-    slack's own residual).  Pass the returned LU factors back to reuse the
-    matrix for a second right-hand side.  A non-finite matrix or right-hand
-    side raises ValueError, and an exactly zero pivot (a singular matrix)
-    raises LinAlgWarning.
+    s_i = lam r_i - log z_i(nu) moves by ds = rd + J_i (dlam, dnu) with
+    J = [r xi_1..k] (rd is the slack's own residual).  These row equations
+    form a diagonal block, so a row with b_i sqrt(eps) <= |a_i| is eliminated
+    through dt_i = (c_i - b_i ds_i) / a_i, a multiplier b_i / a_i of at most
+    1/sqrt(eps).  The other rows stay in the system, divided by b_i: near the
+    optimum those with t_i / s_i past 1/sqrt(eps) (eliminating them too
+    diverges once t_i / s_i reaches 1e281), and the active rows of the
+    active-set step (a = 0, b = 1; its inactive rows, a = 1, b = 0, get
+    dt = 0).  The reduced matrix [[H - J_E^T diag(b/a) J_E, J_K^T],
+    [J_K, diag(a/b)_K]] has side k + 1 + |K|, for eliminated rows E and kept
+    rows K.  It is inverted once; pass the returned `reduced` back to reuse
+    it for a second right-hand side at the same (xi, t, a, b).  A non-finite
+    matrix or right-hand side raises ValueError, and an exactly singular
+    matrix raises np.linalg.LinAlgError.
     """
-    x = xi[:, 1:]
-    k, ell = x.shape[1], len(r)
-    if lu is None:
-        kkt = np.zeros((k + 1 + ell, k + 1 + ell))
-        # d colsum_j / d nu = -sum_i t_i (diag(xi_i) - xi_i xi_i^T) on columns 1..k
-        kkt[:k, :k] = x.T @ (t[:, None] * x) - np.diag(x.T @ t)
-        kkt[:k, k + 1 :] = x.T
-        kkt[k, k + 1 :] = r
-        kkt[k + 1 :, :k] = b[:, None] * x
-        kkt[k + 1 :, k] = b * r
-        kkt[k + 1 + np.arange(ell), k + 1 + np.arange(ell)] = a
-        if not np.isfinite(kkt).all():
+    if reduced is None:
+        jac = xi.copy()
+        jac[:, 0] = r  # J = [r xi_1..k]: dlam comes first in the reduced unknowns
+        k = jac.shape[1] - 1
+        keep = b * _SQRT_EPS > np.abs(a)
+        ainv = np.divide(1.0, a, out=np.zeros(len(r)), where=~keep)
+        kept = jac[keep]
+        side = k + 1 + len(kept)
+        jt = jac.T @ t
+        # H - J_E^T diag(b/a) J_E as one product and a diagonal: d colsum_j /
+        # d nu is -sum_i t_i (diag(xi_i) - xi_i xi_i^T) on columns 1..k, and H
+        # is zero in the lam row, which the symmetric copy restores
+        weighted = (t - b * ainv)[:, None] * jac
+        weighted[:, 0] -= t * r
+        mat = np.zeros((side, side))
+        mat[: k + 1, : k + 1] = jac.T @ weighted
+        mat[0, 1 : k + 1] = mat[1 : k + 1, 0]
+        mat.flat[side + 1 : (k + 1) * (side + 1) : side + 1] -= jt[1:]
+        b_kept = None  # no level kept: the masked steps below would only cost time
+        if len(kept):
+            b_kept = b[keep]
+            mat[: k + 1, k + 1 :] = kept.T
+            mat[k + 1 :, : k + 1] = kept
+            mat.flat[(k + 1) * (side + 1) :: side + 1] = a[keep] / b_kept
+        if not np.isfinite(mat).all():
             raise ValueError("KKT matrix must not contain infs or NaNs")
-        *lu, info = dgetrf(kkt)
-        if info > 0:
-            raise LinAlgWarning(f"KKT matrix is singular: pivot {info} is exactly zero")
-    rhs = np.concatenate([phi - x.T @ t, [1.0 - r @ t], c - b * rd])
+        top = np.concatenate(([1.0], phi)) - jt
+        reduced = np.linalg.inv(mat), jac, keep, b_kept, ainv, top
+    inv, jac, keep, b_kept, ainv, top = reduced
+    k = jac.shape[1] - 1
+    g = c - b * rd
+    rhs = top - jac.T @ (g * ainv)
+    if b_kept is not None:
+        rhs = np.concatenate((rhs, g[keep] / b_kept))
     if not np.isfinite(rhs).all():
         raise ValueError("KKT right-hand side must not contain infs or NaNs")
-    sol, _ = dgetrs(*lu, rhs)
-    dnu, dlam, dt = sol[:k], sol[k], sol[k + 1 :]
-    return dnu, dlam, dt, rd + r * dlam + x @ dnu, lu
+    sol = inv @ rhs
+    ds = rd + jac @ sol[: k + 1]
+    dt = ainv * (c - b * ds)
+    if b_kept is not None:
+        dt[keep] = sol[k + 1 :]
+    return sol[1 : k + 1], sol[0], dt, ds, reduced
 
 
 def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
@@ -362,11 +393,13 @@ def maximize_log_g(
         nu += np.log(xi[:, 1:].T @ t / phi)
     lz, xi = _row_compositions(expo, nu)
     lam = float(np.max(lz / r)) + 1.0
-    s = lam * r - lz
 
     # Mehrotra predictor-corrector on the central path t_i s_i = mu; the slack
     # s is a variable of its own, so the dual constraints may be violated
-    # until the residual rd vanishes.
+    # until the residual rd vanishes.  t and s are views of one vector, so
+    # that one fraction-to-boundary rule and one update serve both.
+    ts = np.concatenate((t, lam * r - lz))
+    t, s = ts[:ell], ts[ell:]
     steps = 0
     while steps < max_iter:
         mu = float(t @ s) / ell
@@ -378,20 +411,23 @@ def maximize_log_g(
             and np.abs(rd).max() <= 1e-12 * (1.0 + lam)
         ):
             break
+        t_s = t * s
         try:
-            dnu, dlam, dt, ds, lu = _newton_step(xi, r, phi, t, rd, s, t, -t * s)
-        except LinAlgWarning:
+            dnu, dlam, dt, ds, reduced = _newton_step(xi, r, phi, t, rd, s, t, -t_s)
+        except np.linalg.LinAlgError:
             break  # singular KKT matrix
-        alpha = min(_fraction_to_boundary(t, dt), _fraction_to_boundary(s, ds))
-        mu_aff = float((t + alpha * dt) @ (s + alpha * ds)) / ell
-        centre = (mu_aff / mu) ** 3 * mu
-        dnu, dlam, dt, ds, _ = _newton_step(xi, r, phi, t, rd, s, t, centre - t * s - dt * ds, lu)
+        dts = np.concatenate((dt, ds))
+        aff = ts + _fraction_to_boundary(ts, dts) * dts
+        centre = (float(aff[:ell] @ aff[ell:]) / ell / mu) ** 3 * mu
+        c = centre - t_s - dt * ds
+        dnu, dlam, dt, ds, _ = _newton_step(xi, r, phi, t, rd, s, t, c, reduced)
         steps += 1
-        tau = max(0.99, 1.0 - mu)
-        alpha = tau * min(_fraction_to_boundary(t, dt), _fraction_to_boundary(s, ds))
+        dts = np.concatenate((dt, ds))
+        alpha = max(0.99, 1.0 - mu) * _fraction_to_boundary(ts, dts)
         # the log-sum-exp is only trusted so far: cap the price move per step
         alpha = min(alpha, 10.0 / max(float(np.abs(dnu).max()), 1e-300))
-        nu, lam, t, s = nu + alpha * dnu, lam + alpha * dlam, t + alpha * dt, s + alpha * ds
+        nu, lam, ts = nu + alpha * dnu, lam + alpha * dlam, ts + alpha * dts
+        t, s = ts[:ell], ts[ell:]
         lz, xi = _row_compositions(expo, nu)
     s_entries = t[:, None] * xi
 
@@ -405,6 +441,8 @@ def maximize_log_g(
     # point.
     active = lam * r * r * t > s
     t_act = np.where(active, t, 0.0)
+    # row equations of the step: s_i = 0 on the active rows, dt_i = 0 elsewhere
+    rows_a, rows_b = (~active).astype(float), active.astype(float)
     last = math.inf
     while steps < max_iter:
         s = lam * r - lz
@@ -419,21 +457,24 @@ def maximize_log_g(
         if resid <= 1e-9 and np.all(t_act[active] > 0.0) and np.all(s[~active] > -1e-9):
             s_entries = np.where(active, t_act, _FOOTPRINT)[:, None] * xi
         try:
-            dnu, dlam, dt, _, _ = _newton_step(
-                xi, r, phi, t_act, 0.0, (~active).astype(float), active.astype(float), np.where(active, -s, 0.0)
-            )
-        except LinAlgWarning:
+            dnu, dlam, dt, _, _ = _newton_step(xi, r, phi, t_act, 0.0, rows_a, rows_b, -rows_b * s)
+        except np.linalg.LinAlgError:
             break
         steps += 1
         nu, lam, t_act = nu + dnu, lam + dlam, t_act + dt
         lz, xi = _row_compositions(expo, nu)
 
-    # keep the mass budget, then snap the column sums; both repairs are at
-    # the level of rounding error
-    mass = float(r @ s_entries.sum(axis=1))
-    if mass > 1.0:
-        s_entries /= mass
+    # Snap the column sums, then scale the whole matrix down until its mass
+    # is within the budget, which the certificate's linear program assumes.
+    # Both repairs are at the level of the solver's residuals, and a common
+    # factor keeps every ratio the gradient reads.  Taking the excess off
+    # column 0 alone would not: on Profile((14,), (1,)) column 0 holds
+    # 1.4e-8, so an excess of 6 ulps moved it by 1e-7 and the gap by 6.6e-8.
     s_entries[:, 1:] *= phi / s_entries[:, 1:].sum(axis=0)
+    mass = float(r @ s_entries.sum(axis=1))
+    while mass > 1.0:
+        s_entries *= (1.0 - _EPS) / mass
+        mass = float(r @ s_entries.sum(axis=1))
     grad = log_g_gradient(s_entries, r, m)
     gap = _linear_oracle(grad, r, phi) - float(np.sum(grad * s_entries))
     alloc = AllocationMatrix(r.copy(), s_entries, profile)

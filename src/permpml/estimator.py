@@ -94,7 +94,7 @@ def approximate_pml(p: Profile) -> PmlResult:
         distribution=dist,
         log_profile_probability=log_prob,
         trace=trace,
-        solver_log_g=alloc.log_g(),
+        solver_log_g=trace.log_g_input,
         params={
             "n": p.n,
             "eps": grid.eps,

@@ -24,12 +24,13 @@ from permpml.convex import AllocationMatrix, log_g, near, near_integer
 
 @dataclass(frozen=True)
 class RoundingTrace:
-    """The two intermediate allocations, the final one, and the g-losses."""
+    """The two intermediate allocations, the final one, the input's log g and the g-losses."""
 
     stage1: AllocationMatrix
     stage2: AllocationMatrix
     final: AllocationMatrix
     gamma: float
+    log_g_input: float
     log_g_drops: tuple[float, float, float]
 
     def to_json(self) -> str:
@@ -229,5 +230,6 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
         stage2=stage2,
         final=final,
         gamma=gamma,
+        log_g_input=g_input,
         log_g_drops=(g_input - g1, g1 - g2, g2 - gf),
     )

@@ -216,6 +216,9 @@ def assert_certified(p, grid, alloc, info):
             (*range(1, 20), 22, 23),
             (1095, 729, 552, 355, 200, 134, 89, 68, 42, 25, 17, 6, 8, 6, 5, 5, 3, 2, 2, 1, 1),
         ),
+        # eliminating every level row from the Newton step diverged here (100
+        # steps, gap 27.5): s_i reaches 0 while t_i / s_i reaches about 1e281
+        Profile((1, 3), (2, 1)),
     ],
 )
 def test_maximize_log_g_certificate_is_exact(p):
@@ -248,13 +251,69 @@ def test_maximize_log_g_certifies_sampled_profiles(source, n):
         assert time.process_time() - start < 1.0
         assert_certified(p, grid, alloc, info)
         assert alloc.is_fractionally_feasible()
+        # the certificate maximizes over mass <= 1: an allocation past it,
+        # by even an ulp, can show a negative gap
+        assert alloc.mass() <= 1.0
+
+
+def _dense_newton_step(xi, r, phi, t, rd, a, b, c):
+    """The same step from the full (k+1+levels)-square KKT system, unknowns (dnu, dlam, dt)."""
+    x = xi[:, 1:]
+    k, ell = x.shape[1], len(r)
+    kkt = np.zeros((k + 1 + ell, k + 1 + ell))
+    kkt[:k, :k] = x.T @ (t[:, None] * x) - np.diag(x.T @ t)
+    kkt[:k, k + 1 :] = x.T
+    kkt[k, k + 1 :] = r
+    kkt[k + 1 :, :k] = b[:, None] * x
+    kkt[k + 1 :, k] = b * r
+    kkt[k + 1 :, k + 1 :] = np.diag(a)
+    rhs = np.concatenate([phi - x.T @ t, [1.0 - r @ t], c - b * rd])
+    sol = np.linalg.solve(kkt, rhs)
+    dnu, dlam, dt = sol[:k], sol[k], sol[k + 1 :]
+    return dnu, dlam, dt, rd + r * dlam + x @ dnu
+
+
+def _random_state(rng, ell, k):
+    r = np.geomspace(1.0, 1e-4, ell)
+    logits = rng.normal(0.0, 1.0, (ell, k + 1))
+    xi = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    t = rng.uniform(0.1, 2.0, ell)
+    return xi, r, rng.uniform(0.5, 3.0, k), t, rng.normal(0.0, 0.1, ell), rng.uniform(0.1, 1.0, ell)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_step_matches_the_dense_kkt_solve(seed):
+    rng = np.random.default_rng(seed)
+    ell, k = 12, 3
+    xi, r, phi, t, rd, s = _random_state(rng, ell, k)
+    cases = [(t, rd, s, t, rng.normal(0.0, 1.0, ell))]
+    # rows near the optimal face: slacks down to 1e-300, at t_i / s_i up to
+    # about 1e281, which the step keeps in its reduced system
+    t_face, s_face = t.copy(), s.copy()
+    s_face[:4] = [1e-300, 1e-290, 1e-200, 1e-12]
+    t_face[2] = 1e-19
+    s_face[2] = 1e-300
+    t_face[8:] = [1e-300, 1e-200, 1e-30, 1e-12]
+    cases.append((t_face, rd, s_face, t_face, -t_face * s_face + 1e-3))
+    # the active-set form: active rows solve their slack equation exactly,
+    # inactive rows keep dt = 0
+    active = np.zeros(ell, dtype=bool)
+    active[rng.choice(ell, k + 1, replace=False)] = True
+    t_act = np.where(active, t, 0.0)
+    on = active.astype(float)
+    cases.append((t_act, 0.0, 1.0 - on, on, -on * s))
+    for tt, rdd, a, b, c in cases:
+        got = _newton_step(xi, r, phi, tt, rdd, a, b, c)[:4]
+        want = _dense_newton_step(xi, r, phi, tt, rdd, a, b, c)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+    dt = _newton_step(xi, r, phi, *cases[-1])[2]
+    assert np.all(dt[~active] == 0.0)
 
 
 def test_newton_step_failures():
-    # an exactly singular KKT matrix raises LinAlgWarning (the solver stops
+    # an exactly singular KKT matrix raises LinAlgError (the solver stops
     # on it), a non-finite one raises ValueError
-    from scipy.linalg import LinAlgWarning
-
     r = build_discretization(4).values
     ell = len(r)
     phi = np.array([1.0, 2.0])
@@ -262,7 +321,7 @@ def test_newton_step_failures():
     xi[:, 0] = 1.0  # observed columns all zero
     t = np.zeros(ell)  # with t = 0 the rows of the column sums vanish
     s = np.ones(ell)
-    with pytest.raises(LinAlgWarning):
+    with pytest.raises(np.linalg.LinAlgError):
         _newton_step(xi, r, phi, t, np.zeros(ell), s, t, -t * s)
     xi = np.full((ell, 3), 1.0 / 3.0)
     xi[1, 2] = np.nan

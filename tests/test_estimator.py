@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from permpml import estimator, permanent
+from permpml.convex import build_discretization, maximize_log_g
 from permpml.estimator import (
     PmlResult,
     approximate_pml,
@@ -35,6 +36,9 @@ def test_distribution_invariants():
         assert res.distribution.min() >= floor - 1e-15
         assert res.log_profile_probability > -math.inf
         assert res.params["k"] == profile_of_sequence(seq).k
+        # the solver's log g, computed once by the rounding
+        grid = build_discretization(max(res.params["n"], 2))
+        assert res.solver_log_g == maximize_log_g(profile_of_sequence(seq), grid).log_g()
 
 
 @pytest.mark.parametrize("n", [30, 50])

@@ -149,6 +149,7 @@ def test_round_allocation_integral_input():
     # only the probability rescale contributes to the loss: n log(1+gamma)
     assert trace.log_g_drops[2] == pytest.approx(2 * math.log(1.05))
     assert trace.log_g_drops[0] == pytest.approx(0.0, abs=1e-12)
+    assert trace.log_g_input == alloc.log_g()
 
 
 def test_round_allocation_single_low_row():
