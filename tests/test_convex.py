@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from permpml.convex import (
 from permpml.convex import _linear_oracle, _newton_step
 from permpml.permanent import log_permanent
 from permpml.profiles import Profile, profile_of_sequence, profile_probability_matrix, sample_sequence
+from permpml.rounding import round_allocation
 
 
 def test_build_discretization_n100():
@@ -76,6 +78,47 @@ def test_log_g_hand_values():
     val = log_g(np.array([[2.0]]), np.array([0.3]), np.array([5.0]))
     assert val == pytest.approx(10 * math.log(0.3))
     assert log_g(np.zeros((3, 2)), np.array([1.0, 0.5, 0.25]), np.array([0.0, 1.0])) == 0.0
+
+
+def _masked_log_g(entries, levels, col_freqs):
+    """log g by 2-D masks over the whole matrix, as the sum is defined."""
+    s, r, m = entries, levels, col_freqs
+    pos = s > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(m[None, :] == 0, 0.0, m[None, :] * np.log(np.where(r > 0, r, 1.0))[:, None])
+        w = np.where((m[None, :] > 0) & (r[:, None] == 0), -np.inf, w)
+    total = float(np.sum(s[pos] * w[pos])) if np.any(pos) else 0.0
+    total -= float(np.sum(s[pos] * np.log(s[pos])))
+    rs = s.sum(axis=1)
+    rpos = rs > 0
+    return total + float(np.sum(rs[rpos] * np.log(rs[rpos])))
+
+
+def test_log_g_matches_the_masked_sum():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(40):
+        ell, k = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        s = rng.uniform(0, 3, (ell, k + 1)) * (rng.uniform(size=(ell, k + 1)) < 0.6)
+        s[rng.integers(0, ell)] = 0.0  # a zero row
+        r = np.sort(rng.uniform(1e-6, 1, ell))[::-1]
+        cases.append((s, r, np.array([0.0, *np.sort(rng.choice(50, k, replace=False) + 1)])))
+    # rounding's outputs: zero-mass rows at level 0 keep their indices
+    p = Profile((1, 2, 3), (1, 1, 1))
+    trace = round_allocation(maximize_log_g(p, build_discretization(p.n)), 1.0 / math.sqrt(p.n))
+    for stage in (trace.stage1, trace.stage2, trace.final):
+        assert np.any(stage.levels == 0)
+        cases.append((stage.entries, stage.levels, stage.col_freqs))
+    # unseen mass on level 0 counts, and 0 log 0 is 0
+    cases.append((np.array([[2.0, 0.0], [0.5, 0.0]]), np.array([0.5, 0.0]), np.array([0.0, 3.0])))
+    cases.append((np.zeros((3, 2)), np.array([1.0, 0.5, 0.0]), np.array([0.0, 1.0])))
+    for s, r, m in cases:
+        want = _masked_log_g(s, r, m)
+        assert log_g(s, r, m) == pytest.approx(want, rel=1e-14, abs=1e-300)
+    # a seen frequency's mass on a level r_i = 0 has probability zero
+    s = np.array([[1.0, 1.0], [0.0, 1e-300]])
+    r, m = np.array([0.5, 0.0]), np.array([0.0, 2.0])
+    assert log_g(s, r, m) == _masked_log_g(s, r, m) == -math.inf
 
 
 def test_log_g_row_merge_superadditive():
@@ -150,35 +193,125 @@ def test_h_pointwise_below_log_permanent():
             assert val <= lp + 1e-6
 
 
-def test_linear_oracle_matches_linprog():
-    rng = np.random.default_rng(5)
-    tried = 0
-    while tried < 60:
-        ell = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 4))
+def _pairwise_linear_oracle(grad, r, phi):
+    """The certificate's LP by bisection over every pairwise breakpoint.
+
+    F(lam) = lam + sum_j phi_j max_i (grad_ij - lam r_i) breaks where two
+    rows tie in a column; the minimum over lam >= lam_floor sits at the
+    first breakpoint after which the slope is non-negative, found by
+    bisection with each piece's slope taken at its midpoint.  Memory is
+    l^2 k / 2.
+    """
+    g = grad[:, 1:]
+    lam_floor = max(0.0, float(np.max(grad[:, 0] / r)))
+    upper, lower = np.triu_indices(len(r), 1)
+    ties = (g[upper] - g[lower]) / (r[upper] - r[lower])[:, None]
+    pts = np.concatenate(([lam_floor], np.unique(ties[ties > lam_floor])))
+
+    def slope(lam):
+        return 1.0 - float(phi @ r[np.argmax(g - lam * r[:, None], axis=0)])
+
+    lo, hi = 0, len(pts) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if slope(0.5 * (pts[mid] + pts[mid + 1])) >= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    lam = float(pts[lo])
+    return lam + float(phi @ np.max(g - lam * r[:, None], axis=0))
+
+
+def _linprog_oracle(grad, r, phi):
+    ell, k = len(r), len(phi)
+    nv = ell * (k + 1)
+    a_eq = np.zeros((k, nv))
+    for j in range(1, k + 1):
+        a_eq[j - 1, j :: (k + 1)] = 1.0
+    res = linprog(
+        -grad.ravel(),
+        A_ub=np.repeat(r, k + 1)[None, :],
+        b_ub=[1.0],
+        A_eq=a_eq,
+        b_eq=phi,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def _oracle_cases(rng):
+    """Random certificate inputs, with ties, collinear points and high floors."""
+    cases = []
+    while len(cases) < 120:
+        ell = int(rng.integers(2, 61)) if len(cases) % 3 == 0 else int(rng.integers(2, 9))
+        k = int(rng.integers(1, 11)) if len(cases) % 3 == 0 else int(rng.integers(1, 4))
         r = np.sort(rng.uniform(0.01, 1.0, ell))[::-1]
         r[0] = 1.0
         phi = rng.integers(1, 5, k).astype(float)
-        if phi.sum() * r.min() > 0.9:
+        if phi.sum() * r.min() > 0.9 or np.any(np.diff(r) == 0):
             continue
-        tried += 1
+        kind = len(cases) % 5
         grad = rng.normal(0, 2, (ell, k + 1))
+        if kind == 1:
+            # equal rows and integer gradients: many rows tie in a column,
+            # and columns share their breakpoints
+            grad = np.round(rng.normal(0, 2, (ell, k + 1)))
+            grad[rng.integers(0, ell, ell // 2)] = grad[0]
+        elif kind == 2:
+            # collinear points: every level lies on one line per column
+            grad = rng.normal(0, 2, k + 1)[None, :] - rng.uniform(0, 3, k + 1)[None, :] * r[:, None]
+        elif kind == 3:
+            # concave columns put every level on the hull
+            grad = np.log(r)[:, None] * rng.uniform(0, 5, k + 1)[None, :] + rng.normal(0, 1, k + 1)
+        elif kind == 4:
+            # column 0 raises lam_floor above every breakpoint
+            upper, lower = np.triu_indices(ell, 1)
+            steepest = np.abs((grad[upper] - grad[lower]) / (r[upper] - r[lower])[:, None]).max()
+            grad[:, 0] = (2.0 * steepest + 1.0) * r
+        cases.append((grad, r, phi))
+    return cases
+
+
+def test_linear_oracle_matches_linprog():
+    for grad, r, phi in _oracle_cases(np.random.default_rng(5)):
         best = _linear_oracle(grad, r, phi)
-        nv = ell * (k + 1)
-        a_eq = np.zeros((k, nv))
-        for j in range(1, k + 1):
-            a_eq[j - 1, j :: (k + 1)] = 1.0
-        res = linprog(
-            -grad.ravel(),
-            A_ub=np.repeat(r, k + 1)[None, :],
-            b_ub=[1.0],
-            A_eq=a_eq,
-            b_eq=phi,
-            bounds=(0, None),
-            method="highs",
-        )
-        assert res.status == 0
-        assert best == pytest.approx(-res.fun, abs=1e-7 * (1 + abs(res.fun)))
+        want = _linprog_oracle(grad, r, phi)
+        assert best == pytest.approx(want, abs=1e-7 * (1 + abs(want)))
+        ref = _pairwise_linear_oracle(grad, r, phi)
+        assert best == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_linear_oracle_runs_in_bounded_memory_at_n_100000():
+    # l = 665 levels and k = 169 observed columns, as a Zipf profile of 10^5
+    # draws gives: the pairwise breakpoints would take 3 x 220 110 x 169
+    # doubles (890 MB); the hulls hold O(l k).  Concave columns put every
+    # level on every hull, the most edges the sweep can see.
+    r = build_discretization(100_000).values
+    ell, k = len(r), 169
+    assert ell == 665
+    rng = np.random.default_rng(7)
+    grad = np.log(r)[:, None] * np.arange(k + 1)[None, :] - rng.uniform(0, 50, k + 1)[None, :]
+    grad[:, 0] = -1.0
+    phi = rng.integers(1, 100, k).astype(float)
+    start = time.process_time()
+    best = _linear_oracle(grad, r, phi)
+    assert time.process_time() - start < 2.0
+    # tracing every allocation slows the hulls' Python loop several-fold:
+    # time and memory are measured in separate runs
+    tracemalloc.start()
+    try:
+        assert _linear_oracle(grad, r, phi) == best
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+    # at most F(lam) at any lam >= lam_floor = 0, at least the value of a
+    # feasible point: every column on the lowest level
+    lams = np.concatenate(([0.0], np.geomspace(1e-3, 1e13, 100)))
+    f = min(lam + float(phi @ np.max(grad[:, 1:] - lam * r[:, None], axis=0)) for lam in lams)
+    assert float(phi @ grad[-1, 1:]) <= best <= f + 1e-12 * abs(f)
 
 
 def test_maximize_log_g_converges_and_is_feasible():
@@ -192,6 +325,26 @@ def test_maximize_log_g_converges_and_is_feasible():
         alloc, info = maximize_log_g(p, grid, return_info=True)
         assert info.converged and info.gap <= 1e-8
         assert alloc.is_fractionally_feasible()
+
+
+def _unattained_profiles():
+    # a symbol seen m times sits at level 1 with only a sliver of unseen mass
+    # beside it: the sliver is e^{nu}, about 1e-10 at m = 18 and below 1e-16
+    # at m = 30, so its price runs to where the column sums no longer see
+    # it, and the solve ends at the rounding floor
+    yield from (Profile((m,), (1,)) for m in range(2, 31))
+    for m in range(11, 21):
+        yield Profile((1, m), (2, 1))
+        yield Profile((2, m), (1, 1))
+
+
+def test_maximize_log_g_certifies_unattained_duals_and_rounds():
+    for p in _unattained_profiles():
+        grid = build_discretization(p.n)
+        alloc, info = maximize_log_g(p, grid, return_info=True)
+        assert info.converged and info.gap <= G_TOL, (p, info)
+        assert alloc.is_fractionally_feasible(), p
+        round_allocation(alloc, 1.0 / math.sqrt(p.n))
 
 
 def assert_certified(p, grid, alloc, info):
@@ -254,6 +407,11 @@ def test_maximize_log_g_certifies_sampled_profiles(source, n):
         # the certificate maximizes over mass <= 1: an allocation past it,
         # by even an ulp, can show a negative gap
         assert alloc.mass() <= 1.0
+        # the hull sweep finds the pairwise bisection's breakpoint
+        grad = log_g_gradient(alloc.entries, grid.values, alloc.col_freqs)
+        phi = np.array(p.counts, dtype=float)
+        want = _pairwise_linear_oracle(grad, grid.values, phi)
+        assert _linear_oracle(grad, grid.values, phi) == pytest.approx(want, rel=1e-12)
 
 
 def _dense_newton_step(xi, r, phi, t, rd, a, b, c):
