@@ -398,10 +398,11 @@ def maximize_log_g(
     max_iter: int = G_MAX_ITER,
     return_info: bool = False,
 ):
-    """Maximize log g over the fractional feasible set, certified by FW gap <= G_TOL.
+    """Maximize log g over the fractional feasible set, certified by |FW gap| <= G_TOL.
 
     Returns the AllocationMatrix (and a SolverInfo when return_info is set;
-    its `iterations` counts Newton steps, at most max_iter).
+    its `iterations` counts Newton steps, at most max_iter, and it is
+    `converged` only on a fractionally feasible matrix with |gap| <= G_TOL).
     """
     r = grid.values
     phi = np.array(profile.counts, dtype=float)
@@ -519,7 +520,9 @@ def maximize_log_g(
     gap = _linear_oracle(grad, r, phi) - float(np.sum(grad * s_entries))
     alloc = AllocationMatrix(r.copy(), s_entries, profile)
     if return_info:
-        return alloc, SolverInfo(converged=gap <= G_TOL, gap=gap, iterations=steps)
+        # a gap below -G_TOL is an infeasible matrix cut off at the step cap
+        certified = alloc.is_fractionally_feasible() and abs(gap) <= G_TOL
+        return alloc, SolverInfo(converged=certified, gap=gap, iterations=steps)
     return alloc
 
 

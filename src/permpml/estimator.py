@@ -4,15 +4,15 @@ The pipeline: build the probability grid for the profile's sample count,
 maximize log g over the fractional feasible set, round to integral row sums
 with gamma = 1/sqrt(n), expand the result into a pseudo-distribution and
 normalize it.  The profile probability of the output is evaluated exactly
-by the dynamic program of ``profile_probability_grouped``, whose cost
-depends on the profile's multiplicities and the number of distinct output
-values, not on the support size; an output past that function's limits
-raises its ValueError.
+by ``profile_probability_grouped``, whose cost depends on the profile and
+the number of distinct output values, not on the support size; an output
+past that function's limits raises its ValueError.
 
 The oracle, ``exact_pml_oracle``, searches a simplex grid at n <= 6.  All
 grid candidates of one support size share the shape of that program (one
-factor per symbol), so each size is scored by batched calls of
-``permanent.log_coefficient``; only the best few are evaluated one by one.
+factor per symbol, the unseen column eliminated), so each size is scored by
+batched calls of ``permanent.log_coefficient``; only the best few are
+evaluated one by one.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ def approximate_pml(p: Profile) -> PmlResult:
     trace = round_allocation(alloc, gamma)
     q = pseudo_distribution_of(trace.final)
     dist = q / q.sum()
-    phi0 = len(dist) - p.observed
-    log_prob = profile_probability_grouped(dist, p, phi0)
+    log_prob = profile_probability_grouped(dist, p)
     return PmlResult(
         distribution=dist,
         log_profile_probability=log_prob,
@@ -136,10 +135,11 @@ def _log_probabilities(qs: np.ndarray, p: Profile) -> np.ndarray:
     """log P(q, phi) of every row of qs, positive vectors of one support.
 
     Each symbol is its own factor (rho = 1, w_0 = 1) of the polynomial
-    `profile_probability_grouped` takes the coefficient of, so every row has
-    one shape and one batched `log_coefficient` call scores as many rows as
-    the DP's limits take.  Equal values are not grouped, so a row's value
-    can differ from `profile_probability_grouped`'s in the last bits.
+    `profile_probability_grouped` takes the coefficient of, with the unseen
+    column eliminated, so every row has one shape and one batched
+    `log_coefficient` call scores as many rows as the DP's limits take.
+    Equal values are not grouped, so a row's value can differ from
+    `profile_probability_grouped`'s in the last bits.
     """
     if not np.all(np.isfinite(qs) & (qs > 0)):
         raise ValueError("candidate entries must be finite and positive")
@@ -192,7 +192,7 @@ def exact_pml_oracle(
     best_q = None
     best = -math.inf
     for q in candidates:
-        val = profile_probability_grouped(q, p, len(q) - p.observed)
+        val = profile_probability_grouped(q, p)
         if val > best:
             best = val
             best_q = q

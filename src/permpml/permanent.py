@@ -5,9 +5,10 @@ eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
 reference of the tests.  `log_permanent` runs a log-domain dynamic program
 over the counts of each distinct column, on each fully indecomposable block
-of the support (`support_blocks`); the same program evaluates profile
-probabilities (`profiles.profile_probability_grouped`), one or a batch at a time.  Hard
-limits on its states and work keep every call inside a desk-scale budget.
+of the support (`support_blocks`); `log_homogeneous_coefficient`, its rule
+for which column needs no axis, also evaluates profile probabilities
+(`profiles.profile_probability_grouped`).  Hard limits on the program's
+states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
 """
 
@@ -163,11 +164,11 @@ def log_permanent(a) -> float:
     It is zero when no permutation fits in the support, else the product
     over the blocks of `support_blocks`.  Within a block with phi_j copies
     of each distinct column c_j, perm is prod_j phi_j! times the coefficient
-    of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j.  Every monomial has
-    degree N, so the column type of largest multiplicity enters with y_0 = 1
-    and its power follows from the others; rho_i equal rows contribute
-    (c_i0 + u_i)^{rho_i}.  The coefficient is `log_coefficient`'s:
-    prod_{j>=1} (phi_j+1) states, exp(O(k log(N/k))) for k distinct columns
+    of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j, with rho_i equal rows
+    grouped into one factor (sum_j c_ij y_j)^{rho_i}.  The coefficient is
+    `log_homogeneous_coefficient`'s, which eliminates the column type of
+    largest multiplicity: prod (phi_j+1) states over the others,
+    exp(O(k log(N/k))) for k distinct columns
     whatever N is.  A dense block with all columns distinct has 2^(N-1)
     states and stops at N = 19 under the work limit; a sparse matrix stops
     only when one of its blocks does.
@@ -210,14 +211,27 @@ def support_blocks(support: np.ndarray):
     return labels, labels[position]
 
 
+def log_homogeneous_coefficient(phi, log_c, rho) -> float:
+    """log of the coefficient of prod_j y_j^phi_j in prod_i (sum_j c_ij y_j)^rho_i.
+
+    Row i of log_c (logs, rows distinct) has multiplicity rho_i, column type
+    j count phi_j, and sum(phi) = sum(rho).  Types of count 0 are dropped.
+    Every monomial has degree sum(rho), so the type of largest count (the
+    first of them) enters with y = 1 and `log_coefficient` runs on
+    prod (phi_j+1) states over the others.
+    """
+    phi = np.asarray(phi)
+    kept = np.flatnonzero(phi > 0)
+    order = kept[np.argsort(-phi[kept], kind="stable")]
+    return log_coefficient(phi[order[1:]], log_c[:, order[0]].tolist(), log_c[:, order[1:]], rho)
+
+
 def _log_permanent_connected(m: np.ndarray) -> float:
     cols, phi = np.unique(m, axis=1, return_counts=True)
-    order = np.argsort(-phi, kind="stable")
-    rows, rho = np.unique(cols[:, order], axis=0, return_counts=True)
+    rows, rho = np.unique(cols, axis=0, return_counts=True)
     with np.errstate(divide="ignore"):
         log_c = np.log(rows)
-    lc = log_coefficient(phi[order[1:]], log_c[:, 0].tolist(), log_c[:, 1:], rho)
-    return lc + sum(math.lgamma(f + 1) for f in phi.tolist())
+    return log_homogeneous_coefficient(phi, log_c, rho) + sum(math.lgamma(f + 1) for f in phi.tolist())
 
 
 def is_doubly_stochastic(a, tol: float) -> bool:

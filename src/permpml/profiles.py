@@ -5,20 +5,15 @@ multiplicities; it forgets symbol identities.  The probability of observing a
 profile under a (pseudo-)distribution factors through the permanent of the
 profile probability matrix, which is what the whole pipeline approximates.
 
-Three evaluators of the same quantity live here:
-
-* ``profile_probability_bruteforce`` enumerates raw sequences (tiny n only),
-* ``profile_probability_exact`` goes through the permanent formula,
-* ``profile_probability_grouped`` runs the dynamic program of
-  ``permanent.log_coefficient`` over the k observed columns of the profile
-  matrix, which has only k+1 distinct columns: its prod_j (phi_j+1) states
-  and sum_i min(rho_i, observed) shift steps (rho_i the multiplicities of
-  the distinct probability values) do not grow with the number of unseen
-  symbols.
-
-``profile_probability_exact`` and ``profile_probability_grouped`` share that
-program and its hard limits; calls past them raise ValueError before any
-work is done.
+``profile_probability_grouped`` evaluates it exactly; the profile matrix has
+at most k+1 distinct columns (the unseen frequency and the k observed ones),
+and ``permanent.log_homogeneous_coefficient`` runs its dynamic program over
+them with the column of largest count eliminated, in prod (phi_j+1) states
+over the other columns, whatever the domain size is.  Calls past the
+program's hard limits raise ValueError before any work is done.
+``profile_probability_bruteforce`` enumerates raw sequences (tiny n only)
+and ``profile_probability_matrix`` builds the paper's N x N matrix; both are
+references for the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import log_coefficient, log_permanent
+from permpml.permanent import log_homogeneous_coefficient
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
@@ -109,32 +104,19 @@ def log_c_phi(p: Profile) -> float:
     )
 
 
-def profile_probability_matrix(q, p: Profile, phi0: int) -> np.ndarray:
-    """N x N matrix with phi_j columns equal to q^{m_j} per frequency.
+def profile_probability_matrix(q, p: Profile) -> np.ndarray:
+    """N x N matrix, N = len(q), with phi_j columns equal to q^{m_j} per frequency.
 
-    Column layout: phi0 all-ones columns for the unseen frequency 0 first
-    (0^0 = 1 keeps rows of probability zero supported), then phi_j columns of
-    q^{m_j} in increasing frequency order.
+    Column layout: N - observed all-ones columns for the unseen frequency 0
+    first (0^0 = 1 keeps rows of probability zero supported), then phi_j
+    columns of q^{m_j} in increasing frequency order.
     """
     v = check_pseudo_distribution(q)
-    if phi0 < 0:
-        raise ValueError("phi0 must be non-negative")
-    n_dom = phi0 + p.observed
-    if len(v) != n_dom:
-        raise ValueError(
-            f"domain size {len(v)} != phi0 + observed symbols = {n_dom}"
-        )
-    col_freqs = np.repeat(
-        np.concatenate(([0], p.freqs)), np.concatenate(([phi0], p.counts))
-    )
+    unseen = len(v) - p.observed
+    if unseen < 0:
+        raise ValueError(f"domain size {len(v)} < observed symbols {p.observed}")
+    col_freqs = np.repeat(np.concatenate(([0], p.freqs)), np.concatenate(([unseen], p.counts)))
     return np.power(v[:, None], col_freqs[None, :])
-
-
-def profile_probability_exact(q, p: Profile, phi0: int) -> float:
-    """log P(q, phi) via the permanent of the profile probability matrix."""
-    a = profile_probability_matrix(q, p, phi0)
-    log_counts = sum(math.lgamma(c + 1) for c in (phi0, *p.counts))
-    return log_c_phi(p) - log_counts + log_permanent(a)
 
 
 def profile_probability_bruteforce(q, p: Profile) -> float:
@@ -157,31 +139,28 @@ def profile_probability_bruteforce(q, p: Profile) -> float:
     return math.log(total) if total > 0 else -math.inf
 
 
-def profile_probability_grouped(q, p: Profile, phi0: int) -> float:
-    """log P(q, phi), exact, by a dynamic program over the observed columns.
+def profile_probability_grouped(q, p: Profile) -> float:
+    """log P(q, phi), exact; -inf when q has fewer positive entries than p.observed.
 
     Groups equal probability values: with L distinct positive values r_i of
-    multiplicities rho_i and weights w_ij = r_i^{m_j}, P is C_phi times the
-    coefficient of y_1^{phi_1} ... y_k^{phi_k} in
-    prod_i (1 + sum_{j>=1} w_ij y_j)^{rho_i}.  The unseen column enters with
-    y_0 = 1: every monomial has total degree rho_1 + ... + rho_L, so its
-    count is fixed by the others.  `permanent.log_coefficient` computes the
-    coefficient: prod_j (phi_j+1) states and sum_i min(rho_i, observed)
-    shifts of k slices each, whatever phi0 and the domain size are.  A
-    profile past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError
-    before the state is allocated.
+    multiplicities rho_i, P is C_phi times the coefficient of
+    y_0^{phi_0} y_1^{phi_1} ... y_k^{phi_k} in
+    prod_i (y_0 + sum_{j>=1} r_i^{m_j} y_j)^{rho_i}, where the unseen count
+    phi_0 = sum_i rho_i - observed.  Entries of q equal to 0 drop out: such
+    a symbol can only be unseen, so with u unseen columns it multiplies both
+    the permanent and its divisor u! by u.
+    `permanent.log_homogeneous_coefficient` computes the coefficient, with
+    the column of largest count eliminated.  A profile past
+    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
+    state is allocated.
     """
     v = check_pseudo_distribution(q)
-    if phi0 < 0:
-        raise ValueError("phi0 must be non-negative")
-    if len(v) != phi0 + p.observed:
-        raise ValueError("domain size must equal phi0 + observed symbols")
-    n_zero = int(np.sum(v == 0))
-    if n_zero > phi0:
-        return -math.inf  # zero-probability symbols can only be unseen
     values, rho = np.unique(v[v > 0], return_counts=True)
-    log_w = np.log(values)[:, None] * np.asarray(p.freqs, dtype=float)[None, :]
-    return log_c_phi(p) + log_coefficient(p.counts, [0.0] * len(values), log_w, rho)
+    unseen = int(rho.sum()) - p.observed
+    if unseen < 0:
+        return -math.inf  # fewer possible symbols than observed ones
+    log_c = np.log(values)[:, None] * np.array([0, *p.freqs], dtype=float)
+    return log_c_phi(p) + log_homogeneous_coefficient([unseen, *p.counts], log_c, rho)
 
 
 def sample_sequence(q, n: int, seed) -> list[str]:

@@ -32,9 +32,10 @@ from permpml.estimator import approximate_pml, exact_pml_oracle
 from permpml.permanent import log_permanent, permanent_naive
 from permpml.profiles import (
     Profile,
+    log_c_phi,
     profile_of_sequence,
     profile_probability_bruteforce,
-    profile_probability_exact,
+    profile_probability_grouped,
     profile_probability_matrix,
     sample_sequence,
 )
@@ -166,13 +167,20 @@ def test_criterion_06_profile_probability_equivalence():
             for q in grids:
                 if p.observed > len(q):
                     continue
-                phi0 = len(q) - p.observed
                 brute = profile_probability_bruteforce(q, p)
-                exact = profile_probability_exact(q, p, phi0)
+                grouped = profile_probability_grouped(q, p)
+                # the paper's formula: C_phi perm(A) / prod_j phi_j!, unseen count included
+                counts = np.array([len(q) - p.observed, *p.counts])
+                formula = (
+                    log_c_phi(p)
+                    - float(np.sum(gammaln(counts + 1)))
+                    + log_permanent(profile_probability_matrix(q, p))
+                )
                 if brute == -math.inf:
-                    assert exact == -math.inf
+                    assert grouped == -math.inf and formula == -math.inf
                 else:
-                    assert exact == pytest.approx(brute, abs=1e-10)
+                    assert grouped == pytest.approx(brute, abs=1e-10)
+                    assert formula == pytest.approx(brute, abs=1e-10)
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -192,10 +200,9 @@ def test_criterion_07_discretization_lemma():
             continue
         seq = sample_sequence(p_dist, n, int(rng.integers(1 << 30)))
         prof = profile_of_sequence(seq)
-        phi0 = d - prof.observed
         q = discretize(p_dist, grid)
-        lp_p = profile_probability_exact(p_dist, prof, phi0)
-        lp_q = profile_probability_exact(q, prof, phi0)
+        lp_p = profile_probability_grouped(p_dist, prof)
+        lp_q = profile_probability_grouped(q, prof)
         assert lp_q <= lp_p + 1e-12
         assert lp_q >= lp_p - grid.eps * n - 1e-12
         done += 1
@@ -253,7 +260,7 @@ def test_criterion_08_h_sandwich():
         if prof.observed > d:
             continue
         phi0 = d - prof.observed
-        a = profile_probability_matrix(q, prof, phi0)
+        a = profile_probability_matrix(q, prof)
         lp = log_permanent(a)
         levels, counts = np.unique(q, return_counts=True)
         m = np.array([0, *prof.freqs], dtype=float)

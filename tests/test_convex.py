@@ -174,7 +174,7 @@ def test_h_pointwise_below_log_permanent():
         if d < p.observed:
             continue
         phi0 = d - p.observed
-        a = profile_probability_matrix(q, p, phi0)
+        a = profile_probability_matrix(q, p)
         lp = log_permanent(a)
         levels, counts = np.unique(q, return_counts=True)
         m = np.array([0, *p.freqs], dtype=float)
@@ -345,6 +345,20 @@ def test_maximize_log_g_certifies_unattained_duals_and_rounds():
         assert info.converged and info.gap <= G_TOL, (p, info)
         assert alloc.is_fractionally_feasible(), p
         round_allocation(alloc, 1.0 / math.sqrt(p.n))
+
+
+@pytest.mark.parametrize("n, caps", [(1000, range(1, 6)), (10000, range(1, 13))], ids=["n1000", "n10000"])
+def test_maximize_log_g_is_not_certified_at_a_short_step_cap(n, caps):
+    # the Zipf profile (seed 1000 + n) cut off after a few Newton steps: the
+    # matrix is infeasible and its gap reads -0.69 to -581 at n = 1000 and
+    # down to -6663 at n = 10^4, which a flag of gap <= G_TOL took as certified
+    q = 1.0 / np.arange(1, n // 2 + 1)
+    p = profile_of_sequence(sample_sequence(q / q.sum(), n, np.random.default_rng(1000 + n)))
+    grid = build_discretization(n)
+    for cap in caps:
+        alloc, info = maximize_log_g(p, grid, max_iter=cap, return_info=True)
+        assert not info.converged, (cap, info)
+        assert not alloc.is_fractionally_feasible(), (cap, info)
 
 
 def assert_certified(p, grid, alloc, info):
@@ -575,7 +589,7 @@ def test_upper_bound_chain_over_grid_distributions():
                 q = vals[list(combo)]
                 if q.sum() > 1.0:
                     continue
-                logp = profile_probability_grouped(q, p, d - p.observed)
+                logp = profile_probability_grouped(q, p)
                 assert logp <= bound + 1e-6
 
 

@@ -121,7 +121,7 @@ def _oracle_one_by_one(p, grid_step):
             if len(part) != support:
                 continue
             q = np.array(part, dtype=float) * grid_step
-            val = profile_probability_grouped(q, p, support - p.observed)
+            val = profile_probability_grouped(q, p)
             if val > best:
                 best, best_q = val, q
     return best_q, best
@@ -172,9 +172,8 @@ def test_normalization_never_decreases_probability():
         p = Profile((1, 2), (1, 1))
         if d < p.observed:
             continue
-        phi0 = d - p.observed
-        raw = profile_probability_grouped(q, p, phi0)
-        normalized = profile_probability_grouped(q / q.sum(), p, phi0)
+        raw = profile_probability_grouped(q, p)
+        normalized = profile_probability_grouped(q / q.sum(), p)
         assert normalized >= raw - 1e-12
 
 

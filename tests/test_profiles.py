@@ -17,11 +17,22 @@ from permpml.profiles import (
     log_c_phi,
     profile_of_sequence,
     profile_probability_bruteforce,
-    profile_probability_exact,
     profile_probability_grouped,
     profile_probability_matrix,
     sample_sequence,
 )
+
+
+def log_prefactor(q, p):
+    """log C_phi - sum_j log phi_j!, unseen count included: log P(q, phi) less the
+    log permanent of profile_probability_matrix(q, p), in the paper's formula."""
+    counts = np.array([len(q) - p.observed, *p.counts])
+    return log_c_phi(p) - float(np.sum(gammaln(counts + 1)))
+
+
+def by_permanent(q, p):
+    """log P(q, phi) by the paper's formula, with the exact log_permanent."""
+    return log_prefactor(q, p) + log_permanent(profile_probability_matrix(q, p))
 
 
 def partitions(n, maxpart=None):
@@ -85,15 +96,15 @@ def test_pseudo_distribution_checks():
 
 def test_profile_probability_matrix_layout():
     p = Profile((1,), (2,))
-    m = profile_probability_matrix([0.5, 0.5], p, 0)
+    m = profile_probability_matrix([0.5, 0.5], p)
     np.testing.assert_allclose(m, np.full((2, 2), 0.5))
-    m = profile_probability_matrix([1 / 3], Profile((2,), (1,)), 0)
+    m = profile_probability_matrix([1 / 3], Profile((2,), (1,)))
     np.testing.assert_allclose(m, [[1 / 9]])
     # zero-probability row keeps a 1 in the frequency-0 column (0^0 = 1)
-    m = profile_probability_matrix([0.0, 0.5], Profile((2,), (1,)), 1)
+    m = profile_probability_matrix([0.0, 0.5], Profile((2,), (1,)))
     np.testing.assert_allclose(m, [[1.0, 0.0], [1.0, 0.25]])
     with pytest.raises(ValueError):
-        profile_probability_matrix([0.5, 0.5], Profile((1,), (1,)), 0)
+        profile_probability_matrix([0.5], Profile((1,), (2,)))  # fewer symbols than observed
 
 
 def test_distinct_columns_at_most_k_plus_one():
@@ -103,10 +114,7 @@ def test_distinct_columns_at_most_k_plus_one():
         q = rng.dirichlet(np.ones(d))
         seq = sample_sequence(q, int(rng.integers(2, 9)), int(rng.integers(1 << 30)))
         p = profile_of_sequence(seq)
-        phi0 = d - p.observed + 2
-        m = profile_probability_matrix(
-            np.concatenate([q, np.zeros(p.observed + phi0 - d)]), p, phi0
-        )
+        m = profile_probability_matrix(np.concatenate([q, np.zeros(2)]), p)
         distinct = np.unique(m, axis=1).shape[1]
         assert distinct <= p.k + 1
         assert distinct <= math.isqrt(p.n) + 1 + 1  # k <= sqrt(n) plus unseen
@@ -114,9 +122,9 @@ def test_distinct_columns_at_most_k_plus_one():
 
 def test_profile_probability_examples():
     p = profile_of_sequence("ab")
-    assert profile_probability_exact([0.5, 0.5], p, 0) == pytest.approx(math.log(0.5))
+    assert profile_probability_grouped([0.5, 0.5], p) == pytest.approx(math.log(0.5))
     assert profile_probability_bruteforce([0.5, 0.5], p) == pytest.approx(math.log(0.5))
-    assert profile_probability_exact([1.0], Profile((3,), (1,)), 0) == pytest.approx(0.0)
+    assert profile_probability_grouped([1.0], Profile((3,), (1,))) == pytest.approx(0.0)
     assert profile_probability_bruteforce([1.0, 0.0], Profile((2,), (1,))) == pytest.approx(0.0)
     # sequences aa, bb under (0.6, 0.4)
     assert profile_probability_bruteforce([0.6, 0.4], Profile((2,), (1,))) == pytest.approx(
@@ -137,12 +145,12 @@ def test_exact_matches_bruteforce_and_grouped():
         for part in partitions(n):
             p = profile_of_partition(part)
             for q in grids:
-                if p.observed > len(q):
-                    continue
-                phi0 = len(q) - p.observed
                 brute = profile_probability_bruteforce(q, p)
-                exact = profile_probability_exact(q, p, phi0)
-                grouped = profile_probability_grouped(q, p, phi0)
+                grouped = profile_probability_grouped(q, p)
+                if p.observed > len(q):  # fewer symbols than observed ones: no square matrix
+                    assert brute == -math.inf and grouped == -math.inf
+                    continue
+                exact = by_permanent(q, p)
                 if brute == -math.inf:
                     assert exact == -math.inf and grouped == -math.inf
                 else:
@@ -156,11 +164,11 @@ def test_permanent_invariant_under_q_permutation():
     rng = np.random.default_rng(5)
     q = rng.dirichlet(np.ones(4))
     p = Profile((1, 2), (1, 1))
-    base = log_permanent(profile_probability_matrix(q, p, 2))
+    base = log_permanent(profile_probability_matrix(q, p))
     for _ in range(5):
         perm = rng.permutation(4)
         assert log_permanent(
-            profile_probability_matrix(q[perm], p, 2)
+            profile_probability_matrix(q[perm], p)
         ) == pytest.approx(base, rel=1e-10)
 
 
@@ -174,7 +182,7 @@ def test_completeness_sums_to_one():
                 if len(part) > d:
                     continue
                 p = profile_of_partition(part)
-                total += math.exp(profile_probability_exact(q, p, d - p.observed))
+                total += math.exp(profile_probability_grouped(q, p))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -182,7 +190,7 @@ def test_grouped_handles_large_supports():
     # 40 symbols in 3 value groups: far past the permanent limit
     q = np.concatenate([np.full(10, 0.02), np.full(10, 0.03), np.full(20, 0.01)])
     p = Profile((1, 2), (2, 1))
-    val = profile_probability_grouped(q, p, 40 - p.observed)
+    val = profile_probability_grouped(q, p)
     assert -math.inf < val < 0.0
 
 
@@ -203,7 +211,7 @@ def test_grouped_matches_uniform_closed_form():
             - sum(gammaln(c + 1) for c in counts)
             - p.n * math.log(n_dom)
         )
-        got = profile_probability_grouped(np.full(n_dom, 1.0 / n_dom), p, n_dom - p.observed)
+        got = profile_probability_grouped(np.full(n_dom, 1.0 / n_dom), p)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -226,15 +234,13 @@ def test_grouped_matches_permanent_formula_on_few_levels(case):
     # terms are positive, so it is accurate to a few ulps on these matrices,
     # whose columns differ by orders of size
     q, p = case
-    phi0 = len(q) - p.observed
-    perm = permanent_naive(profile_probability_matrix(q, p, phi0))
-    grouped = profile_probability_grouped(q, p, phi0)
-    exact = profile_probability_exact(q, p, phi0)
+    perm = permanent_naive(profile_probability_matrix(q, p))
+    grouped = profile_probability_grouped(q, p)
+    exact = by_permanent(q, p)
     if perm == 0.0:
         assert grouped == -math.inf and exact == -math.inf
         return
-    counts = np.concatenate(([phi0], p.counts))
-    want = log_c_phi(p) - float(np.sum(gammaln(counts + 1))) + math.log(perm)
+    want = log_prefactor(q, p) + math.log(perm)
     assert grouped == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
     assert exact == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
 
@@ -244,18 +250,17 @@ def test_exact_on_levels_orders_of_size_apart():
     # gave -15.9 for a log probability of -34.6 (and -inf for others)
     q = np.array([0.5, 0.01, 0.01, 0.01, 0.01, 0.01])
     p = Profile((1, 3, 4), (1, 1, 3))
-    exact = profile_probability_exact(q, p, 1)
-    perm = permanent_naive(profile_probability_matrix(q, p, 1))
-    want = log_c_phi(p) - float(np.sum(gammaln(np.array([1, 1, 1, 3]) + 1))) + math.log(perm)
-    assert exact == pytest.approx(want, rel=1e-12)
-    assert exact == pytest.approx(profile_probability_grouped(q, p, 1), rel=1e-12)
+    want = log_prefactor(q, p) + math.log(permanent_naive(profile_probability_matrix(q, p)))
+    assert by_permanent(q, p) == pytest.approx(want, rel=1e-12)
+    assert profile_probability_grouped(q, p) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "p, n_values",
     [
         (Profile(tuple(range(1, 11)), (30,) * 10), 1),  # 31^10 states
-        (Profile((1, 2), (500, 500)), 1000),  # 501^2 states, 1000 shifts each
+        # the unseen column (count 1000) is eliminated: 501^2 states, 2000 shifts each
+        (Profile((1, 2), (500, 500)), 2000),
     ],
 )
 def test_grouped_guard_raises_before_allocating(p, n_values):
@@ -265,13 +270,33 @@ def test_grouped_guard_raises_before_allocating(p, n_values):
     start = time.process_time()
     try:
         with pytest.raises(ValueError, match="grouped evaluation"):
-            profile_probability_grouped(q, p, len(q) - p.observed)
+            profile_probability_grouped(q, p)
         elapsed = time.process_time() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert elapsed < 0.1
     assert peak < 20 * q.nbytes + 100_000  # nothing of the size of the state
+
+
+@pytest.mark.parametrize(
+    "p, n_values, want",
+    [
+        # no unseen symbol: one of the 500-columns is eliminated, 501 states
+        (Profile((1, 2), (500, 500)), 1000, -568.2618152306586),
+        # no unseen symbol: the 60-column is eliminated, 51 x 41 states
+        (Profile((1, 2, 3), (60, 50, 40)), 150, -53.75856198593419),
+    ],
+    ids=["k2-N1000", "k3-N150"],
+)
+def test_grouped_eliminates_the_largest_column(p, n_values, want):
+    # `want` is the permanent formula's value (log_permanent of the N x N matrix)
+    q = np.repeat(np.linspace(1.0, 2.0, n_values), -(-p.observed // n_values))
+    q = q / q.sum()
+    start = time.process_time()
+    got = profile_probability_grouped(q, p)
+    assert time.process_time() - start < 0.1
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_sample_sequence():
