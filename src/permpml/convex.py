@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from permpml.permanent import logsumexp
-from permpml.profiles import Profile
+from permpml.profiles import Profile, check_pseudo_distribution
 
 G_TOL = 1e-8
 G_MAX_ITER = 100
@@ -99,9 +99,7 @@ def build_discretization(n: int) -> DiscretizationSet:
 
 def discretize(p, grid: DiscretizationSet) -> np.ndarray:
     """Round every positive probability down to the nearest grid value."""
-    v = np.asarray(p, dtype=float)
-    if np.any(v < 0) or v.sum() > 1.0 + 1e-12:
-        raise ValueError("input must be a pseudo-distribution")
+    v = check_pseudo_distribution(p)
     pos = v > 0
     if np.any(v[pos] < grid.values[-1]):
         raise ValueError(

@@ -8,11 +8,12 @@ by ``profile_probability_grouped``, whose cost depends on the profile and
 the number of distinct output values, not on the support size; an output
 past that function's limits raises its ValueError.
 
-The oracle, ``exact_pml_oracle``, searches a simplex grid at n <= 6.  All
-grid candidates of one support size share the shape of that program (one
-factor per symbol, the unseen column eliminated), so each size is scored by
-batched calls of ``permanent.log_coefficient``; only the best few are
-evaluated one by one.
+The oracle, ``exact_pml_oracle``, searches a simplex grid at n <= 6.  It
+ranks the candidates of one support size by the profile probability's
+definition, C_phi times a sum over the distinct assignments of the
+frequencies to the symbols (at most 120 of them), so matrix products score
+all candidates at once; only the best few are evaluated, by
+``profile_probability_grouped``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from permpml.convex import build_discretization, maximize_log_g, pseudo_distribution_of
-from permpml.permanent import batch_capacity, log_coefficient
+from permpml.permanent import GROUPED_STATE_LIMIT, logsumexp
 from permpml.profiles import (
     MASS_TOL,
     Profile,
@@ -37,10 +38,10 @@ ORACLE_N_LIMIT = 6
 ORACLE_SUPPORT_LIMIT = 6
 # The oracle's simplex grids, per (units, grid_step, support size).
 _GRID_CACHE: dict[tuple[int, float, int], np.ndarray] = {}
-# Batched scores within this relative distance of a support's best are
-# re-evaluated one by one: the batch does not group equal values, and its
-# scores differed from profile_probability_grouped's by at most 1.7e-15
-# (relative) on every grid candidate of the profiles with n <= 6.
+# Scores within this relative distance of a support's best are re-evaluated
+# one by one: the scores differed from profile_probability_grouped's by at
+# most 1.8e-15 (relative to max(1, |value|)) on every grid candidate of the
+# profiles with n <= 6 at grid steps 0.05 and 0.02.
 _TIE_TOL = 1e-9
 
 
@@ -131,29 +132,38 @@ def _simplex_grid(units: int, grid_step: float, support: int) -> np.ndarray:
     return qs
 
 
+def _arrangements(items: tuple) -> list[tuple]:
+    """The distinct orderings of a sorted tuple."""
+    if not items:
+        return [()]
+    return [
+        (x,) + rest
+        for i, x in enumerate(items)
+        if i == 0 or items[i - 1] != x
+        for rest in _arrangements(items[:i] + items[i + 1 :])
+    ]
+
+
 def _log_probabilities(qs: np.ndarray, p: Profile) -> np.ndarray:
     """log P(q, phi) of every row of qs, positive vectors of one support.
 
-    Each symbol is its own factor (rho = 1, w_0 = 1) of the polynomial
-    `profile_probability_grouped` takes the coefficient of, with the unseen
-    column eliminated, so every row has one shape and one batched
-    `log_coefficient` call scores as many rows as the DP's limits take.
-    Equal values are not grouped, so a row's value can differ from
-    `profile_probability_grouped`'s in the last bits.
+    By the definition, P(q, phi) = C_phi sum_a prod_i q_i^{a_i} over the
+    distinct assignments a of the profile's frequencies, and 0 for each
+    unseen symbol, to the symbols: one logsumexp of log(qs) @ A.T, A the
+    assignments.  Rows go in chunks of at most GROUPED_STATE_LIMIT sums, so
+    the temporaries stay bounded.  Equal values are not grouped, so a row's
+    value can differ from `profile_probability_grouped`'s in the last bits.
     """
     if not np.all(np.isfinite(qs) & (qs > 0)):
         raise ValueError("candidate entries must be finite and positive")
     if np.any(qs.sum(axis=1) > 1.0 + MASS_TOL):
         raise ValueError("candidate mass exceeds 1")
-    support = qs.shape[1]
-    log_w = np.log(qs)[:, :, None] * np.asarray(p.freqs, dtype=float)
-    ones, zeros = [1] * support, [0.0] * support
-    chunk = max(1, batch_capacity(p.counts, ones))
-    coefs = [
-        log_coefficient(p.counts, zeros, log_w[i : i + chunk], ones)
-        for i in range(0, len(qs), chunk)
-    ]
-    return log_c_phi(p) + np.concatenate(coefs)
+    items = (0,) * (qs.shape[1] - p.observed) + tuple(np.repeat(p.freqs, p.counts).tolist())
+    a = np.array(_arrangements(items), dtype=float)
+    log_qs = np.log(qs)
+    chunk = max(1, GROUPED_STATE_LIMIT // len(a))
+    scores = [logsumexp(log_qs[i : i + chunk] @ a.T, 1) for i in range(0, len(qs), chunk)]
+    return log_c_phi(p) + np.concatenate(scores)
 
 
 def exact_pml_oracle(
@@ -166,11 +176,11 @@ def exact_pml_oracle(
     Exhausts every support size up to max_support and every probability
     vector whose entries are multiples of grid_step; the result is a
     certified lower bound on the true PML objective at that resolution.
-    The candidates of one support size are scored together by batched
-    dynamic programs; those within a relative 1e-9 of the best score are
-    then evaluated by profile_probability_grouped in grid order, so the
-    returned value is that function's and ties go to the first candidate,
-    across support sizes too.
+    The candidates of one support size are scored together by the profile
+    probability's definition; those within a relative 1e-9 of the best
+    score are then evaluated by profile_probability_grouped in grid order,
+    so the returned value is that function's and ties go to the first
+    candidate, across support sizes too.
     """
     if p.n > ORACLE_N_LIMIT:
         raise ValueError(f"oracle limited to n <= {ORACLE_N_LIMIT}")
@@ -178,6 +188,8 @@ def exact_pml_oracle(
         max_support = min(ORACLE_SUPPORT_LIMIT, 2 * p.observed)
     if max_support > ORACLE_SUPPORT_LIMIT:
         raise ValueError(f"oracle limited to support <= {ORACLE_SUPPORT_LIMIT}")
+    if not 0 < grid_step <= 1:
+        raise ValueError("grid_step must lie in (0, 1]")
     units = round(1.0 / grid_step)
     if abs(units * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must divide 1")

@@ -3,12 +3,12 @@
 These are the ground-truth oracles of the package: everything approximate is
 eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
-reference of the tests.  `log_permanent` runs a log-domain dynamic program
-over the counts of each distinct column, on each fully indecomposable block
-of the support (`support_blocks`); `log_homogeneous_coefficient`, its rule
-for which column needs no axis, also evaluates profile probabilities
-(`profiles.profile_probability_grouped`).  Hard limits on the program's
-states and work keep every call inside a desk-scale budget.
+reference of the tests.  `log_homogeneous_coefficient` is the one exact
+dynamic program: a log-domain program over the counts of each distinct
+column but the largest.  `log_permanent` runs it on each fully
+indecomposable block of the support (`support_blocks`), and
+`profiles.profile_probability_grouped` on the profile matrix.  Hard limits
+on the program's states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
 """
 
@@ -22,9 +22,10 @@ import numpy as np
 
 NAIVE_LIMIT = 8
 
-# Hard limits of log_coefficient: the count of DP states (each a float in a
-# few arrays of that size) and of state updates, states x k x shifts.  A
-# call at the work limit takes about 2 s of CPU.
+# Hard limits of log_homogeneous_coefficient: the count of DP states (each a
+# float in a few arrays of that size) and of state updates, states x k x
+# shifts.  A call at the work limit takes about 2 s of CPU.  The PML
+# oracle's scorer keeps its arrays to the state limit too.
 GROUPED_STATE_LIMIT = 1_000_000
 GROUPED_WORK_LIMIT = 100_000_000
 
@@ -81,81 +82,6 @@ def _log_term(count: int, t: int, log_w0: float) -> float:
     power = rest * log_w0 if rest else 0.0  # 0^0 = 1
     # the exact integer C(count, t): lgamma differences cancel at count ~ 10^5-10^6
     return math.log(math.comb(count, t)) + power
-
-
-def _row_cost(phi, rho) -> tuple[int, int]:
-    """States and slice updates of one row of `log_coefficient`."""
-    phi = [int(c) for c in phi]
-    states = math.prod(c + 1 for c in phi)
-    return states, states * len(phi) * sum(min(int(c), sum(phi)) for c in rho)
-
-
-def batch_capacity(phi, rho) -> int:
-    """Largest batch of `log_coefficient` rows of this (phi, rho) within both
-    limits; 0 if one row is past them."""
-    states, work = _row_cost(phi, rho)
-    return min(GROUPED_STATE_LIMIT // states, GROUPED_WORK_LIMIT // max(work, 1))
-
-
-def log_coefficient(phi, log_w0, log_w, rho):
-    """log of the coefficient of y_1^phi_1 ... y_k^phi_k in prod_i (w_i0 + u_i)^{rho_i}.
-
-    u_i = sum_j w_ij y_j; the weights come as logs, log_w0[i] and
-    log_w[i, j].  The state is the log-domain coefficient array of shape
-    (phi_1+1, ..., phi_k+1), truncated at the target.  Factor i is applied
-    by Horner's rule over its binomial expansion,
-    acc <- C(rho_i, t) w_i0^{rho_i - t} coef + u_i acc for t = T_i down to
-    0, T_i = min(rho_i, phi_1 + ... + phi_k); each multiplication by u_i is
-    one unit shift, k slices that move every coefficient one step up axis
-    j.  All terms are positive, so nothing cancels.
-
-    log_w may carry a leading batch axis, shape (B, L, k): the B rows share
-    phi, log_w0 and rho, run as one program on a state with a leading axis
-    of B, and the result is an array of B values instead of a float.
-
-    Cost: B prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.
-    A call whose state count or work count (states x k x shifts), batch
-    included, exceeds GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises
-    ValueError before the state is allocated; `batch_capacity` is the
-    largest B that fits.
-    """
-    log_w = np.asarray(log_w, dtype=float)
-    batched = log_w.ndim == 3
-    if not batched:
-        log_w = log_w[None]
-    batch = log_w.shape[0]
-    k = len(phi)
-    phi = [int(c) for c in phi]
-    shape = tuple(c + 1 for c in phi)
-    powers = [min(int(c), sum(phi)) for c in rho]
-    states, work = (batch * c for c in _row_cost(phi, rho))
-    if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
-        raise ValueError(
-            f"grouped evaluation needs {states} states and {work} slice updates, "
-            f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
-        )
-    everything = (slice(None),) * (k + 1)
-    shifts = [
-        (
-            everything[: j + 1] + (slice(1, None),) + everything[j + 2 :],
-            everything[: j + 1] + (slice(None, -1),) + everything[j + 2 :],
-        )
-        for j in range(k)
-    ]
-    # w[i][j] is log w_ij of every row, shaped to broadcast against the state
-    w = np.moveaxis(log_w, 0, -1).reshape(log_w.shape[1:] + (batch,) + (1,) * k)
-    coef = np.full((batch,) + shape, -math.inf)
-    coef[(slice(None),) + (0,) * k] = 0.0
-    for row, lw0, count, t_max in zip(w, log_w0, map(int, rho), powers):
-        acc = coef + _log_term(count, t_max, lw0)
-        for t in range(t_max - 1, -1, -1):
-            nxt = coef + _log_term(count, t, lw0)
-            for wj, (dst, src) in zip(row, shifts):
-                np.logaddexp(nxt[dst], acc[src] + wj, out=nxt[dst])
-            acc = nxt
-        coef = acc
-    out = coef[(slice(None),) + (-1,) * k]
-    return out if batched else float(out[0])
 
 
 def log_permanent(a) -> float:
@@ -217,13 +143,55 @@ def log_homogeneous_coefficient(phi, log_c, rho) -> float:
     Row i of log_c (logs, rows distinct) has multiplicity rho_i, column type
     j count phi_j, and sum(phi) = sum(rho).  Types of count 0 are dropped.
     Every monomial has degree sum(rho), so the type of largest count (the
-    first of them) enters with y = 1 and `log_coefficient` runs on
-    prod (phi_j+1) states over the others.
+    first of them; call it type 0) enters with y = 1, and what is left is
+    the coefficient of prod_j y_j^phi_j over the k other types in
+    prod_i (c_i0 + u_i)^rho_i, u_i = sum_j c_ij y_j.  The state is its
+    log-domain coefficient array of shape (phi_1+1, ..., phi_k+1), truncated
+    at the target.  Factor i is applied by Horner's rule over its binomial
+    expansion, acc <- C(rho_i, t) c_i0^{rho_i - t} coef + u_i acc for
+    t = T_i down to 0, T_i = min(rho_i, phi_1 + ... + phi_k); each
+    multiplication by u_i is one unit shift, k slices that move every
+    coefficient one step up axis j.  All terms are positive, so nothing
+    cancels.
+
+    Cost: prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.  A
+    call whose state count or work count (states x k x shifts) exceeds
+    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
+    state is allocated.
     """
     phi = np.asarray(phi)
     kept = np.flatnonzero(phi > 0)
     order = kept[np.argsort(-phi[kept], kind="stable")]
-    return log_coefficient(phi[order[1:]], log_c[:, order[0]].tolist(), log_c[:, order[1:]], rho)
+    log_w0, log_w = log_c[:, order[0]].tolist(), log_c[:, order[1:]]
+    phi = phi[order[1:]].tolist()
+    k = len(phi)
+    powers = [min(int(c), sum(phi)) for c in rho]
+    states = math.prod(c + 1 for c in phi)
+    work = states * k * sum(powers)
+    if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
+        raise ValueError(
+            f"grouped evaluation needs {states} states and {work} slice updates, "
+            f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
+        )
+    everything = (slice(None),) * k
+    shifts = [
+        (
+            everything[:j] + (slice(1, None),) + everything[j + 1 :],
+            everything[:j] + (slice(None, -1),) + everything[j + 1 :],
+        )
+        for j in range(k)
+    ]
+    coef = np.full(tuple(c + 1 for c in phi), -math.inf)
+    coef[(0,) * k] = 0.0
+    for row, lw0, count, t_max in zip(log_w, log_w0, map(int, rho), powers):
+        acc = coef + _log_term(count, t_max, lw0)
+        for t in range(t_max - 1, -1, -1):
+            nxt = coef + _log_term(count, t, lw0)
+            for wj, (dst, src) in zip(row, shifts):
+                np.logaddexp(nxt[dst], acc[src] + wj, out=nxt[dst])
+            acc = nxt
+        coef = acc
+    return float(coef[(-1,) * k])
 
 
 def _log_permanent_connected(m: np.ndarray) -> float:

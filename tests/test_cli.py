@@ -224,6 +224,15 @@ def test_oracle_pml_missing_freqs_exits_2(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("step", ["0", "-0.5", "1.5"])
+def test_oracle_pml_bad_grid_step_exits_2(tmp_path, capsys, step):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(Profile((2,), (1,)).to_json())
+    assert main(["oracle-pml", str(pfile), "--grid-step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "grid_step" in captured.err
+
+
 def test_readme_cli_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

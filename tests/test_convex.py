@@ -62,6 +62,11 @@ def test_discretize_examples():
 
     with pytest.raises(ValueError):
         discretize(np.array([grid.values[-1] / 10]), grid)
+    # inputs that are no pseudo-distribution: a NaN entry, a 2-d array
+    with pytest.raises(ValueError, match="finite"):
+        discretize(np.array([math.nan, 0.5]), grid)
+    with pytest.raises(ValueError, match="1-d"):
+        discretize(np.array([[0.5, 0.2]]), grid)
     # floor never increases mass
     rng = np.random.default_rng(0)
     for _ in range(20):

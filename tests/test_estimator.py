@@ -1,10 +1,11 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from permpml import estimator, permanent
+from permpml import estimator
 from permpml.convex import build_discretization, maximize_log_g
 from permpml.estimator import (
     PmlResult,
@@ -96,6 +97,9 @@ def test_oracle_guards():
         exact_pml_oracle(Profile((1,), (2,)), max_support=9)
     with pytest.raises(ValueError):
         exact_pml_oracle(Profile((1,), (2,)), grid_step=0.03)
+    for step in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="grid_step"):
+            exact_pml_oracle(Profile((1,), (2,)), grid_step=step)
 
 
 def _partitions(n, largest):
@@ -138,22 +142,36 @@ def test_oracle_matches_one_by_one_search(grid_step):
             assert best == ref_best
 
 
-def test_oracle_chunks_past_the_work_limit(monkeypatch):
-    p = Profile((1, 2), (2, 1))
-    expected_q, expected = exact_pml_oracle(p, grid_step=0.05)
-    batches = []
+@pytest.mark.parametrize("grid_step", [0.05, 0.02])
+def test_oracle_scores_match_the_evaluator(grid_step):
+    # every grid candidate the oracle scores, on every profile with n <= 6
+    units = round(1.0 / grid_step)
+    for n in range(1, 7):
+        for counts in _partitions(n, n):
+            p = _profile_of_counts(list(counts))
+            for support in range(p.observed, min(6, 2 * p.observed) + 1):
+                qs = estimator._simplex_grid(units, grid_step, support)
+                if not len(qs):
+                    continue
+                scores = estimator._log_probabilities(qs, p)
+                exact = np.array([profile_probability_grouped(q, p) for q in qs])
+                # relative to max(1, |exact|), as the oracle's tie tolerance is
+                assert np.all(np.abs(scores - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
 
-    def spy(phi, log_w0, log_w, rho):
-        batches.append(log_w.shape[:2])
-        return permanent.log_coefficient(phi, log_w0, log_w, rho)
 
-    monkeypatch.setattr(estimator, "log_coefficient", spy)
-    # a candidate of support s: 3 x 2 states, 2 slices per shift, s shifts
-    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 720)
-    q, best = exact_pml_oracle(p, grid_step=0.05)
-    assert q.tobytes() == expected_q.tobytes() and best == expected
-    assert all(rows * 12 * support <= 720 for rows, support in batches)
-    assert batches.count((10, 6)) > 1
+def test_oracle_scores_in_bounded_memory():
+    # 120 assignments per row: unchunked, the score matrix alone takes 192 MB
+    p = Profile((1, 2, 3), (1, 1, 1))
+    qs = np.random.default_rng(3).dirichlet(np.ones(6), 200_000)
+    tracemalloc.start()
+    try:
+        scores = estimator._log_probabilities(qs, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
+    for i in range(0, len(qs), 40_000):
+        assert scores[i] == pytest.approx(profile_probability_grouped(qs[i], p), rel=1e-14)
 
 
 def test_end_to_end_ratio_small_profiles():

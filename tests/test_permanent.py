@@ -5,15 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permpml import permanent
 from permpml.approx import block_ones_matrix, k_distinct_column_matrix
 from permpml.permanent import (
-    batch_capacity,
     is_doubly_stochastic,
-    log_coefficient,
+    log_homogeneous_coefficient,
     log_permanent,
     logsumexp,
     matrix_from_json,
@@ -170,44 +169,44 @@ def test_log_permanent_of_a_triangular_matrix_is_its_diagonal():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    st.lists(st.integers(1, 3), min_size=1, max_size=4),
-    st.integers(1, 5),
-    st.integers(0, 10_000),
-)
-def test_batched_coefficient_matches_rows(phi, rho, batch, seed):
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 10_000))
+def test_homogeneous_coefficient_matches_naive(phi, seed):
+    # the coefficient times prod phi_j! is the permanent of the matrix with
+    # phi_j copies of column type j and rho_i copies of row i; types of count
+    # 0 drop out, and any type may be the one eliminated
+    n = sum(phi)
+    assume(1 <= n <= 7)
     rng = np.random.default_rng(seed)
-    log_w0 = rng.normal(size=len(rho)).tolist()
-    log_w = rng.normal(size=(batch, len(rho), len(phi)))
-    values = log_coefficient(phi, log_w0, log_w, rho)
-    assert values.shape == (batch,)
-    for row, value in zip(log_w, values):
-        assert value == pytest.approx(log_coefficient(phi, log_w0, row, rho), rel=1e-12)
+    rho = np.bincount(rng.integers(0, n, n))
+    rho = rho[rho > 0]
+    c = rng.uniform(0.1, 2.0, (len(rho), len(phi)))
+    m = np.repeat(np.repeat(c, rho, axis=0), phi, axis=1)
+    expected = math.log(permanent_naive(m)) - sum(math.lgamma(f + 1) for f in phi)
+    value = log_homogeneous_coefficient(phi, np.log(c), rho.tolist())
+    assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_batched_coefficient_guard(monkeypatch):
-    # the limits count the batch, and a call past them raises before the
-    # state (here 2 x 10^6 floats) is allocated
-    phi, rho = (99, 99, 99), (1, 1)
-    assert batch_capacity(phi, rho) == 1
-    log_w = np.zeros((2, len(rho), len(phi)))
+def test_coefficient_guard_raises_before_allocating(monkeypatch):
+    # the type of count 100 first in order is eliminated; the other three
+    # need 101^3 > GROUPED_STATE_LIMIT states, and the call raises before
+    # that state (8 MB) is allocated
+    log_c = np.zeros((2, 4))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="grouped evaluation"):
-            log_coefficient(phi, [0.0, 0.0], log_w, rho)
+            log_homogeneous_coefficient((100, 100, 100, 100), log_c, (200, 200))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    # under a smaller work limit, three rows fit where four do not
-    # one row: 3 x 2 states, 2 slices per shift, 3 shifts
-    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 3 * 36)
-    assert batch_capacity((2, 1), (1, 1, 1)) == 3
-    log_w = np.zeros((4, 3, 2))
-    log_coefficient((2, 1), [0.0] * 3, log_w[:3], (1, 1, 1))
+    # the work is counted exactly: with (2, 1) left after the type of count
+    # 3 is eliminated, 3 x 2 states, 2 slices per shift, 6 shifts
+    log_c = np.log(np.random.default_rng(0).uniform(0.1, 2.0, (6, 3)))
+    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 72)
+    log_homogeneous_coefficient((3, 2, 1), log_c, [1] * 6)
+    monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 71)
     with pytest.raises(ValueError, match="grouped evaluation"):
-        log_coefficient((2, 1), [0.0] * 3, log_w, (1, 1, 1))
+        log_homogeneous_coefficient((3, 2, 1), log_c, [1] * 6)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
