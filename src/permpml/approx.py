@@ -3,8 +3,9 @@
 All three are maximizations over the doubly stochastic polytope restricted to
 the support of the input matrix.  The Sinkhorn maximizer is the diagonal
 scaling reached by alternating row/column normalization, swept as
-matrix-vector products on a fixed kernel whose scalings are folded into the
-log domain when they grow large (Schmitzer 2019); the Bethe optimum is
+matrix-vector products on a fixed kernel, A itself when its row and column
+sums are in range; scalings that leave the range are folded into the log
+domain (Schmitzer 2019).  The Bethe optimum is
 found from the Sinkhorn witness by equality-constrained Newton steps and
 conditional-gradient steps (the linear subproblem is an assignment problem),
 each accepted by halving from the longest feasible step until it ascends.
@@ -34,8 +35,9 @@ BETHE_TOL = 1e-8
 BETHE_MAX_ITER = 10_000
 
 _TINY = 1e-300
-# Sinkhorn folds its linear scalings into the log domain once one leaves
-# [_SCALER_MIN, 1 / _SCALER_MIN].
+# Sinkhorn sweeps in the log domain first when a row or column sum of A
+# leaves [_SCALER_MIN, 1 / _SCALER_MIN], and folds its linear scalings into
+# the log domain once one of them leaves it.
 _SCALER_MIN = 1e-100
 
 
@@ -55,7 +57,7 @@ class ApproximationReport:
     """A permanent approximation and the solver run that made it.
 
     `q` is the doubly stochastic point reached; `iterations` and `residual`
-    are the solver's own: Sinkhorn's sweeps and worst marginal error, or
+    are the solver's own: Sinkhorn's sweeps and worst row-marginal error, or
     Bethe's ascent steps and last Frank-Wolfe gap.
     """
 
@@ -126,10 +128,11 @@ def _within_blocks(am: np.ndarray):
 
 
 def sinkhorn_scale(a) -> DoublyStochasticWitness:
-    """Alternating row/column normalization until the worst marginal error <= SINKHORN_TOL.
+    """Alternating row/column normalization until the worst row-marginal error <= SINKHORN_TOL.
 
-    Runs on the blocks of the support, where a scaling exists (Sinkhorn &
-    Knopp 1967); with no perfect matching none does: ValueError.
+    Each sweep ends on the column step, so the column sums are 1 to within
+    an ulp.  Runs on the blocks of the support, where a scaling exists
+    (Sinkhorn & Knopp 1967); with no perfect matching none does: ValueError.
     """
     reduced = _within_blocks(as_matrix(a))
     if reduced is None:
@@ -137,51 +140,60 @@ def sinkhorn_scale(a) -> DoublyStochasticWitness:
     return _scale(reduced[0])
 
 
+def _outside_scaler_range(x: np.ndarray) -> bool:
+    return x.min() < _SCALER_MIN or x.max() > 1.0 / _SCALER_MIN
+
+
 def _scale(am: np.ndarray) -> DoublyStochasticWitness:
     """`sinkhorn_scale` on a matrix whose entries all lie in its blocks.
 
-    The first sweep runs in the log domain and leaves the kernel
-    K = exp(logl + log A + logr), the iterate it reached.  Every later sweep
-    is linear on that kernel, u = 1/(K v) then v = 1/(K^T u), and reads the
-    row and column sums of the iterate diag(u) K diag(v) from the same
-    products.  When an entry of u or v leaves [_SCALER_MIN, 1/_SCALER_MIN],
-    the next sweep is a log-domain one again: log v is folded into logr and
-    K rebuilt, so badly scaled inputs cannot overflow and kernel entries
-    that had underflowed come back.  No linear sweep takes an exp or a log
-    of an N x N array.  Ill-conditioned inputs can still use up all the
-    sweeps; the last iterate's residual exposes it (callers flag converged=False).
+    Sweeps are linear on a kernel K, u = 1/(K v) then v = 1/(K^T u), with
+    the iterate diag(u) K diag(v).  The kernel starts as A itself, with
+    u = v = 1, when A's row and column sums lie in [_SCALER_MIN,
+    1/_SCALER_MIN]; from there a linear sweep is the log-domain one.  When
+    they do not, or when an entry of u or v leaves that range, the next
+    sweep runs in the log domain: log v is folded into logr, logl and logr
+    are recomputed by log-sum-exps over log A, and K is rebuilt as
+    exp(logl + log A + logr), the iterate reached, with u = v = 1.  So badly
+    scaled inputs cannot overflow and kernel entries that had underflowed
+    come back (Schmitzer 2019).  No linear sweep takes an exp or a log of an
+    N x N array, and log A is built by the first log-domain sweep.  The
+    residual is read from the row sums alone.  Ill-conditioned inputs can
+    still use up all the sweeps; the last iterate's residual exposes it
+    (callers flag converged=False).
     """
     n = len(am)
-    with np.errstate(divide="ignore"):
-        loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
-    logl = np.zeros(n)
-    logr = np.zeros(n)
-    u = v = np.ones(n)  # linear scalings on the kernel; ones right after a log-domain sweep
-    absorb = True
+    kernel = am
+    loga = None
+    logl = logr = np.zeros(n)
+    uv = np.ones(2 * n)  # u and v in one buffer, for one range test
+    u, v = uv[:n], uv[n:]
+    kv = am.sum(axis=1)
+    absorb = _outside_scaler_range(kv) or _outside_scaler_range(am.sum(axis=0))
     residual = math.inf
     iterations = 0
     for it in range(1, SINKHORN_MAX_ITER + 1):
         if absorb:
+            if loga is None:
+                with np.errstate(divide="ignore"):
+                    loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
             # fold v into logr; the row step recomputes logl, which absorbs u
             logr = logr + np.log(v)
             logl = -logsumexp(loga + logr[None, :], 1)
             logr = -logsumexp(loga + logl[:, None], 0)
             kernel = np.exp(logl[:, None] + loga + logr[None, :])
-            u = v = np.ones(n)
+            uv.fill(1.0)
             row_sums = kv = kernel.sum(axis=1)
-            col_sums = kernel.sum(axis=0)
         else:
-            u = 1.0 / kv
-            ktu = u @ kernel
-            v = 1.0 / ktu
+            np.divide(1.0, kv, out=u)
+            np.divide(1.0, u @ kernel, out=v)
             kv = kernel @ v
             row_sums = u * kv
-            col_sums = v * ktu
-        residual = float(max(np.abs(row_sums - 1.0).max(), np.abs(col_sums - 1.0).max()))
+        residual = float(np.abs(row_sums - 1.0).max())
         iterations = it
         if residual <= SINKHORN_TOL:
             break
-        absorb = min(u.min(), v.min()) < _SCALER_MIN or max(u.max(), v.max()) > 1.0 / _SCALER_MIN
+        absorb = _outside_scaler_range(uv)
     return DoublyStochasticWitness(
         q=u[:, None] * kernel * v[None, :],
         row_scalers=np.exp(logl + np.log(u)),
@@ -250,8 +262,12 @@ def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarra
         return None
     gw = grad * w
     wc = w[:, free]
+    m = n + wc.shape[1]
+    schur = np.zeros((m, m))
     # w.sum(axis=0)[free], not wc.sum(axis=0): the sums of the copy differ in the last ulp
-    schur = np.block([[np.diag(w.sum(axis=1)), wc], [wc.T, np.diag(w.sum(axis=0)[free])]])
+    schur.flat[:: m + 1] = np.concatenate([w.sum(axis=1), w.sum(axis=0)[free]])
+    schur[:n, n:] = wc
+    schur[n:, :n] = wc.T
     rhs = np.concatenate(
         [qm.sum(axis=1) - 1.0 - gw.sum(axis=1), (qm.sum(axis=0) - 1.0 - gw.sum(axis=0))[free]]
     )

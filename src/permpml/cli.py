@@ -21,7 +21,9 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGED = 3
 
 
-def _fmt(x: float) -> str:
+def _fmt(x: float | bool | None) -> str:
+    if isinstance(x, bool):
+        return json.dumps(x)
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return format(x, ".17g")
@@ -72,23 +74,25 @@ def _cmd_perm_compare(args) -> int:
         exact = log_permanent(matrix)
     except ValueError:  # past the limits of the exact dynamic program (non-square fails below)
         exact = None
-    sinkhorn = sinkhorn_permanent(matrix).log_value
-    scaled = sinkhorn - matrix.shape[0]  # scaled_sinkhorn_permanent's shift
-    bethe = bethe_permanent(matrix).log_value
+    sinkhorn = sinkhorn_permanent(matrix)
+    bethe = bethe_permanent(matrix)
+    scaled = sinkhorn.log_value - matrix.shape[0]  # scaled_sinkhorn_permanent's shift
     record = {
         "n": matrix.shape[0],
         "log_perm": exact,
-        "log_sinkhorn": sinkhorn,
+        "log_sinkhorn": sinkhorn.log_value,
         "log_scaled_sinkhorn": scaled,
-        "log_bethe": bethe,
-        "gap_bethe": exact - bethe if exact is not None else None,
+        "log_bethe": bethe.log_value,
+        "gap_bethe": exact - bethe.log_value if exact is not None else None,
         "gap_scaled_sinkhorn": exact - scaled if exact is not None else None,
+        "sinkhorn_converged": sinkhorn.converged,
+        "bethe_converged": bethe.converged,
     }
     if args.format == "json":
         _write(_strict_json(record), args.out)
     else:
         _write(",".join(_fmt(v) for v in record.values()), args.out)
-    return EXIT_OK
+    return EXIT_OK if sinkhorn.converged and bethe.converged else EXIT_NONCONVERGED
 
 
 def _cmd_sample(args) -> int:

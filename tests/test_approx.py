@@ -122,17 +122,63 @@ def test_sinkhorn_flags_nonconvergence_on_ill_conditioned_input(monkeypatch):
 def test_sinkhorn_folds_diverging_scalers_into_the_log_domain(monkeypatch):
     # scalers leaving [0.999, 1/0.999] are folded into the log domain, which
     # must change neither the sweep counts nor the iterates beyond rounding
+    # (their row and column sums are all outside that range as well, so each
+    # of the matrices starts with a log-domain sweep)
     monkeypatch.setattr(approx, "_SCALER_MIN", 0.999)
-    halves = []  # a log-domain sweep takes two log-sum-exps
+    halves = _counting_logsumexp(monkeypatch)
+    matrices = _check_against_log_domain_reference()
+    folds = len(halves) // 2 - matrices
+    assert folds > 150  # 193 on these 62 matrices with OpenBLAS on x86-64
+
+
+def _counting_logsumexp(monkeypatch) -> list:
+    """Patch approx's log-sum-exp to record each call's axis; a log-domain sweep takes two."""
+    halves = []
 
     def counting(x, axis):
         halves.append(axis)
         return permanent.logsumexp(x, axis)
 
     monkeypatch.setattr(approx, "logsumexp", counting)
-    matrices = _check_against_log_domain_reference()
-    folds = len(halves) // 2 - matrices
-    assert folds > 150  # 193 on these 62 matrices with OpenBLAS on x86-64
+    return halves
+
+
+def test_sinkhorn_starts_linear_when_the_marginals_are_in_range(monkeypatch):
+    # row and column sums within [_SCALER_MIN, 1/_SCALER_MIN]: the first
+    # sweep is linear on A itself and no sweep needs a log-sum-exp
+    halves = _counting_logsumexp(monkeypatch)
+    matrices = _perm_workload_matrices() + [np.random.default_rng(0).uniform(size=(1000, 1000))]
+    for a in matrices:
+        assert sinkhorn_scale(a).residual <= approx.SINKHORN_TOL
+    assert halves == []
+
+
+def _log_domain_starts():
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.1, 1.0, (6, 6))
+    subnormal_row, tiny_column, large, huge_row = a.copy(), a.copy(), 1e150 * a, a.copy()
+    subnormal_row[2] = 1e-310
+    tiny_column[:, 4] = 1e-300
+    huge_row[1] *= 1e300
+    return [subnormal_row, tiny_column, large, huge_row]
+
+
+@pytest.mark.parametrize(
+    "case", range(4), ids=["subnormal_row", "tiny_column", "times_1e150", "row_times_1e300"]
+)
+def test_sinkhorn_starts_in_the_log_domain_on_out_of_range_marginals(monkeypatch, case):
+    a = _log_domain_starts()[case]
+    halves = _counting_logsumexp(monkeypatch)
+    monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 1)
+    with np.errstate(over="ignore"):  # the subnormal row's scaler, about 1e310, is inf
+        sinkhorn_scale(a)
+        assert halves == [1, 0]
+        monkeypatch.undo()
+        w = sinkhorn_scale(a)
+    assert np.all(np.isfinite(w.q)) and w.residual <= approx.SINKHORN_TOL
+    q, sweeps = _log_domain_sinkhorn(a)
+    assert w.iterations == sweeps
+    np.testing.assert_allclose(w.q, q, rtol=0, atol=1e-12)
 
 
 def test_sinkhorn_preserves_equal_columns():
@@ -333,6 +379,64 @@ def test_bethe_pins_one_column_per_block():
     assert time.process_time() - start < 1.0
     assert r.converged and r.iterations <= 10
     assert r.log_value == pytest.approx(bethe_permanent(a[1:, 1:]).log_value, abs=1e-8)
+
+
+def _dense_bethe_newton_direction(qm, support, grad):
+    """The step from the full KKT system: N^2 entries and 2N multipliers.
+
+    Stationarity h_ij d_ij + a_i + b_j = -g_ij on the support with
+    h = -1/q + 1/(1 - q), d = 0 off it, and the row and column sums of
+    q + d equal to 1.  The multipliers are free up to a shift per block, so
+    the system is solved by least squares; d is unique.
+    """
+    n = len(qm)
+    q = np.clip(qm, approx._TINY, 1.0 - 1e-16)
+    h = -1.0 / q + 1.0 / (1.0 - q)
+    kkt = np.zeros((n * n + 2 * n, n * n + 2 * n))
+    rhs = np.zeros(n * n + 2 * n)
+    for i in range(n):
+        for j in range(n):
+            e = i * n + j
+            if support[i, j]:
+                kkt[e, [e, n * n + i, n * n + n + j]] = h[i, j], 1.0, 1.0
+                rhs[e] = -grad[i, j]
+            else:
+                kkt[e, e] = 1.0
+            kkt[n * n + i, e] = kkt[n * n + n + j, e] = 1.0
+    rhs[n * n :] = np.concatenate([1.0 - qm.sum(axis=1), 1.0 - qm.sum(axis=0)])
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][: n * n].reshape(n, n)
+
+
+def _newton_step_cases():
+    rng = np.random.default_rng(17)
+    supports = []
+    while len(supports) < 6:  # one-block random supports
+        n = int(rng.integers(3, 7))
+        s = (rng.uniform(size=(n, n)) < 0.6) | np.eye(n, dtype=bool)
+        if len(np.unique(support_blocks(s)[1])) == 1:
+            supports.append(s)
+    two_blocks = np.zeros((7, 7), dtype=bool)
+    two_blocks[:3, :3] = two_blocks[3:, 3:] = True
+    supports.append(two_blocks)
+    for s in supports:
+        a = np.where(s, rng.uniform(0.1, 1.0, s.shape), 0.0)
+        # a point off the polytope, so that the step also corrects the marginals
+        qm = np.where(s, sinkhorn_scale(a).q * rng.uniform(0.95, 1.05, s.shape), 0.0)
+        grad = np.where(s, rng.normal(size=s.shape), 0.0)
+        yield qm, s, grad
+
+
+def test_bethe_newton_direction_matches_the_dense_kkt_solve():
+    cases = 0
+    for qm, s, grad in _newton_step_cases():
+        col_labels = support_blocks(s)[1]
+        free = np.ones(len(s), dtype=bool)  # pin the last column of each block
+        free[[np.flatnonzero(col_labels == b)[-1] for b in np.unique(col_labels)]] = False
+        got = approx._bethe_newton_direction(qm, s, grad, free)
+        want = _dense_bethe_newton_direction(qm, s, grad)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        cases += 1
+    assert cases == 7
 
 
 def test_assignment_vertex_stays_on_the_support():

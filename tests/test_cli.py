@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permpml import approx
 from permpml.cli import _strict_json, build_parser, main
 from permpml.permanent import matrix_to_json
 from permpml.profiles import Profile
@@ -197,7 +198,30 @@ def test_perm_compare_zero_row_writes_nulls(tmp_path, capsys):
         assert code == 0
         obj = json.loads(out)
         assert obj.pop("n") == 3
+        assert obj.pop("sinkhorn_converged") is obj.pop("bethe_converged") is True
         assert set(obj.values()) == {None}, obj
+
+
+def test_perm_compare_exits_3_when_a_solver_does_not_converge(tmp_path, capsys, monkeypatch):
+    # Sinkhorn's residual on this block falls like 1/sweeps: 500 sweeps leave
+    # it near 1e-3, and its value below the permanent it should bound
+    monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
+    mfile = tmp_path / "m.json"
+    mfile.write_text(matrix_to_json(np.array([[1e-200, 1e-200], [1e-200, 1.0]])))
+    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["sinkhorn_converged"] is False
+    assert obj["log_sinkhorn"] < obj["log_perm"]
+    code, out = run(capsys, ["perm-compare", str(mfile)])
+    assert code == 3
+    assert out.strip().split(",")[7:] == ["false", str(obj["bethe_converged"]).lower()]
+
+    mfile.write_text(matrix_to_json(np.ones((2, 2))))
+    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["sinkhorn_converged"] is obj["bethe_converged"] is True
 
 
 def test_perm_compare_missing_rows_exits_2(tmp_path, capsys):
