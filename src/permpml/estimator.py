@@ -9,15 +9,16 @@ the number of distinct output values, not on the support size; an output
 past that function's limits raises its ValueError.
 
 The oracle, ``exact_pml_oracle``, searches a simplex grid at n <= 6.  It
-ranks the candidates of one support size by the profile probability's
+scores the candidates of every support size by the profile probability's
 definition, C_phi times a sum over the distinct assignments of the
 frequencies to the symbols (at most 120 of them), so matrix products score
-all candidates at once; only the best few are evaluated, by
-``profile_probability_grouped``.
+all candidates at once; only those near the best score over all support
+sizes are evaluated, by ``profile_probability_grouped``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,12 +37,11 @@ from permpml.rounding import RoundingTrace, round_allocation
 
 ORACLE_N_LIMIT = 6
 ORACLE_SUPPORT_LIMIT = 6
-# The oracle's simplex grids, per (units, grid_step, support size).
-_GRID_CACHE: dict[tuple[int, float, int], np.ndarray] = {}
-# Scores within this relative distance of a support's best are re-evaluated
-# one by one: the scores differed from profile_probability_grouped's by at
-# most 1.8e-15 (relative to max(1, |value|)) on every grid candidate of the
-# profiles with n <= 6 at grid steps 0.05 and 0.02.
+# Scores within this relative distance of the best over all support sizes
+# are re-evaluated one by one: the scores differed from
+# profile_probability_grouped's by at most 1.8e-15 (relative to
+# max(1, |value|)) on every grid candidate of the profiles with n <= 6 at
+# grid steps 0.05 and 0.02, so no candidate outside the cut can win.
 _TIE_TOL = 1e-9
 
 
@@ -117,19 +117,54 @@ def _partitions_into(total: int, parts: int, maximum: int):
             yield (first,) + rest
 
 
-def _simplex_grid(units: int, grid_step: float, support: int) -> np.ndarray:
-    """The grid's non-increasing probability vectors of one support size, one per row.
+@functools.cache
+def _grid_size(units: int, supports: range) -> int:
+    """The grid's candidate count over these support sizes, capped at GROUPED_STATE_LIMIT + 1.
 
-    Cached read-only per (units, grid_step, support): the oracle searches
-    the same grids on every call.
+    p(u, s), the partitions of u into s positive parts, follows
+    p(u, s) = p(u - 1, s - 1) + p(u - s, s): row s is row s - 1 shifted by
+    one and summed along each residue class of u mod s.  p(u, s) grows with
+    u and is at least (u - s + 1) / 2 for 2 <= s <= u, so a grid too large
+    by that bound is refused before any row is built.  Cached: the oracle
+    asks for the same few counts on every call.
     """
-    key = (units, grid_step, support)
-    qs = _GRID_CACHE.get(key)
-    if qs is None:
-        qs = np.array(list(_partitions_into(units, support, units)), dtype=float) * grid_step
-        qs.flags.writeable = False
-        _GRID_CACHE[key] = qs
-    return qs
+    cap = GROUPED_STATE_LIMIT + 1
+    if not supports or units < supports.start:
+        return 0
+    top = supports[-1]
+    if top == 1:
+        return 1
+    if units - top + 1 > 2 * GROUPED_STATE_LIMIT:
+        return cap
+    row = np.zeros(units + 1, dtype=np.int64)
+    row[0] = 1
+    total = 0
+    for s in range(1, top + 1):
+        shifted = np.zeros(-(-(units + 1) // s) * s, dtype=np.int64)
+        shifted[1 : units + 1] = row[:units]
+        row = np.minimum(shifted.reshape(-1, s).cumsum(axis=0).ravel()[: units + 1], cap)
+        if s in supports:
+            total += int(row[units])
+    return min(total, cap)
+
+
+@functools.cache
+def _simplex_grid(units: int, grid_step: float, support: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's non-increasing probability vectors of one support size (rows) and their logs.
+
+    Cached read-only: the oracle searches the same grids on every call.
+    The scorer's input checks run here, once per grid.
+    """
+    qs = np.array(list(_partitions_into(units, support, units)), dtype=float)
+    qs = qs.reshape(-1, support) * grid_step
+    if not np.all(np.isfinite(qs) & (qs > 0)):
+        raise ValueError("candidate entries must be finite and positive")
+    if np.any(qs.sum(axis=1) > 1.0 + MASS_TOL):
+        raise ValueError("candidate mass exceeds 1")
+    log_qs = np.log(qs)
+    qs.flags.writeable = False
+    log_qs.flags.writeable = False
+    return qs, log_qs
 
 
 def _arrangements(items: tuple) -> list[tuple]:
@@ -144,25 +179,30 @@ def _arrangements(items: tuple) -> list[tuple]:
     ]
 
 
-def _log_probabilities(qs: np.ndarray, p: Profile) -> np.ndarray:
-    """log P(q, phi) of every row of qs, positive vectors of one support.
+@functools.cache
+def _assignments(items: tuple) -> np.ndarray:
+    """The distinct orderings of a sorted tuple, one per row; cached read-only."""
+    a = np.array(_arrangements(items), dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _log_probabilities(log_qs: np.ndarray, p: Profile) -> np.ndarray:
+    """log P(q, phi) of every q with log(q) a row of log_qs, one support size.
 
     By the definition, P(q, phi) = C_phi sum_a prod_i q_i^{a_i} over the
     distinct assignments a of the profile's frequencies, and 0 for each
-    unseen symbol, to the symbols: one logsumexp of log(qs) @ A.T, A the
-    assignments.  Rows go in chunks of at most GROUPED_STATE_LIMIT sums, so
-    the temporaries stay bounded.  Equal values are not grouped, so a row's
-    value can differ from `profile_probability_grouped`'s in the last bits.
+    unseen symbol, to the symbols: one logsumexp of log_qs @ A.T, A the
+    assignments.  The rows must be the logs of positive vectors of mass at
+    most 1, as `_simplex_grid` checks.  Rows go in chunks of at most
+    GROUPED_STATE_LIMIT sums, so the temporaries stay bounded.  Equal values
+    are not grouped, so a row's value can differ from
+    `profile_probability_grouped`'s in the last bits.
     """
-    if not np.all(np.isfinite(qs) & (qs > 0)):
-        raise ValueError("candidate entries must be finite and positive")
-    if np.any(qs.sum(axis=1) > 1.0 + MASS_TOL):
-        raise ValueError("candidate mass exceeds 1")
-    items = (0,) * (qs.shape[1] - p.observed) + tuple(np.repeat(p.freqs, p.counts).tolist())
-    a = np.array(_arrangements(items), dtype=float)
-    log_qs = np.log(qs)
+    items = (0,) * (log_qs.shape[1] - p.observed) + tuple(np.repeat(p.freqs, p.counts).tolist())
+    a = _assignments(items)
     chunk = max(1, GROUPED_STATE_LIMIT // len(a))
-    scores = [logsumexp(log_qs[i : i + chunk] @ a.T, 1) for i in range(0, len(qs), chunk)]
+    scores = [logsumexp(log_qs[i : i + chunk] @ a.T, 1) for i in range(0, len(log_qs), chunk)]
     return log_c_phi(p) + np.concatenate(scores)
 
 
@@ -176,11 +216,13 @@ def exact_pml_oracle(
     Exhausts every support size up to max_support and every probability
     vector whose entries are multiples of grid_step; the result is a
     certified lower bound on the true PML objective at that resolution.
-    The candidates of one support size are scored together by the profile
-    probability's definition; those within a relative 1e-9 of the best
-    score are then evaluated by profile_probability_grouped in grid order,
-    so the returned value is that function's and ties go to the first
-    candidate, across support sizes too.
+    Grids of more than GROUPED_STATE_LIMIT candidates over all support
+    sizes raise ValueError before any is built.  The candidates of every
+    support size are scored by the profile probability's definition; those
+    within a relative 1e-9 of the best score over all support sizes are
+    then evaluated by profile_probability_grouped, support size ascending
+    and then in grid order, so the returned value is that function's and
+    ties go to the first candidate.
     """
     if p.n > ORACLE_N_LIMIT:
         raise ValueError(f"oracle limited to n <= {ORACLE_N_LIMIT}")
@@ -193,23 +235,30 @@ def exact_pml_oracle(
     units = round(1.0 / grid_step)
     if abs(units * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must divide 1")
-    candidates = []
-    for support in range(max(1, p.observed), max_support + 1):
-        qs = _simplex_grid(units, grid_step, support)
-        if not len(qs):
-            continue
-        scores = _log_probabilities(qs, p)
-        top = scores.max()
-        candidates += list(qs[scores >= top - _TIE_TOL * max(1.0, abs(top))])
+    supports = range(max(1, p.observed), max_support + 1)
+    if _grid_size(units, supports) > GROUPED_STATE_LIMIT:
+        raise ValueError(
+            f"grid_step {grid_step} gives more than {GROUPED_STATE_LIMIT} candidates; "
+            "use a coarser grid_step"
+        )
+    scored = []
+    for support in supports:
+        qs, log_qs = _simplex_grid(units, grid_step, support)
+        if len(qs):
+            scored.append((qs, _log_probabilities(log_qs, p)))
+    if not scored:
+        raise ValueError("no feasible candidate found")
+    top = max(scores.max() for _, scores in scored)
+    cut = top - _TIE_TOL * max(1.0, abs(top))
     best_q = None
     best = -math.inf
-    for q in candidates:
-        val = profile_probability_grouped(q, p)
-        if val > best:
-            best = val
-            best_q = q
-    if best_q is None:
-        raise ValueError("no feasible candidate found")
+    for qs, scores in scored:
+        # boolean indexing copies: the caller's q never aliases the cache
+        for q in qs[scores >= cut]:
+            val = profile_probability_grouped(q, p)
+            if val > best:
+                best = val
+                best_q = q
     return best_q, best
 
 

@@ -31,7 +31,14 @@ class RoundingTrace:
     final: AllocationMatrix
     gamma: float
     log_g_input: float
-    log_g_drops: tuple[float, float, float]
+
+    @property
+    def log_g_drops(self) -> tuple[float, float, float]:
+        """The log g each stage loses, computed on demand: the PML path reads none of them."""
+        g1 = self.stage1.log_g()
+        g2 = self.stage2.log_g()
+        gf = self.final.log_g()
+        return (self.log_g_input - g1, g1 - g2, g2 - gf)
 
     def to_json(self) -> str:
         # degenerate zero-mass rows at probability 0 only pad the indices;
@@ -221,15 +228,6 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     near = near_integer(rs) & (rs > 0) & (np.round(rs) > 0)
     final_entries[near] *= (np.round(rs[near]) / rs[near])[:, None]
     final = AllocationMatrix(final_levels, final_entries, s.profile)
-
-    g1 = stage1.log_g()
-    g2 = stage2.log_g()
-    gf = final.log_g()
     return RoundingTrace(
-        stage1=stage1,
-        stage2=stage2,
-        final=final,
-        gamma=gamma,
-        log_g_input=g_input,
-        log_g_drops=(g_input - g1, g1 - g2, g2 - gf),
+        stage1=stage1, stage2=stage2, final=final, gamma=gamma, log_g_input=g_input
     )

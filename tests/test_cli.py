@@ -257,6 +257,15 @@ def test_oracle_pml_bad_grid_step_exits_2(tmp_path, capsys, step):
     assert captured.out == "" and captured.err.startswith("error:") and "grid_step" in captured.err
 
 
+def test_oracle_pml_grid_past_the_state_limit_exits_2(tmp_path, capsys):
+    # three symbols seen: supports 3 to 6 at step 0.002 are over 10^8 candidates
+    pfile = tmp_path / "p.json"
+    pfile.write_text(Profile((2,), (3,)).to_json())
+    assert main(["oracle-pml", str(pfile), "--grid-step", "0.002"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "grid_step" in captured.err
+
+
 def test_readme_cli_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

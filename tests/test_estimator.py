@@ -131,15 +131,92 @@ def _oracle_one_by_one(p, grid_step):
     return best_q, best
 
 
+def _small_profiles():
+    # the 29 profiles with n <= 6
+    return [_profile_of_counts(list(c)) for n in range(1, 7) for c in _partitions(n, n)]
+
+
 @pytest.mark.parametrize("grid_step", [0.05, 0.1])
 def test_oracle_matches_one_by_one_search(grid_step):
-    for n in range(1, 6):
-        for counts in _partitions(n, n):
-            p = _profile_of_counts(list(counts))
-            q, best = exact_pml_oracle(p, grid_step=grid_step)
-            ref_q, ref_best = _oracle_one_by_one(p, grid_step)
-            assert q.tobytes() == ref_q.tobytes()
-            assert best == ref_best
+    for p in _small_profiles():
+        q, best = exact_pml_oracle(p, grid_step=grid_step)
+        ref_q, ref_best = _oracle_one_by_one(p, grid_step)
+        assert q.tobytes() == ref_q.tobytes()
+        assert best == ref_best
+
+
+@pytest.mark.parametrize("grid_step", [0.1, 0.05, 0.02])
+def test_oracle_evaluates_only_candidates_near_the_overall_best(grid_step, monkeypatch):
+    # only a candidate within the tie cut of the best score over all support
+    # sizes can win, so no other is evaluated exactly
+    units = round(1.0 / grid_step)
+    evaluated = []
+
+    def counting(q, p):
+        evaluated.append(q.copy())
+        return profile_probability_grouped(q, p)
+
+    monkeypatch.setattr(estimator, "profile_probability_grouped", counting)
+    total = 0
+    for p in _small_profiles():
+        evaluated.clear()
+        exact_pml_oracle(p, grid_step=grid_step)
+        total += len(evaluated)
+        grids = {}
+        for support in range(p.observed, min(6, 2 * p.observed) + 1):
+            qs, log_qs = estimator._simplex_grid(units, grid_step, support)
+            if len(qs):
+                grids[support] = (qs, estimator._log_probabilities(log_qs, p))
+        top = max(scores.max() for _, scores in grids.values())
+        cut = top - estimator._TIE_TOL * max(1.0, abs(top))
+        for q in evaluated:
+            qs, scores = grids[len(q)]
+            assert scores[np.all(qs == q, axis=1)].item() >= cut
+    # against 90, 93 and 108 when each support size's best was evaluated
+    assert total <= {0.1: 36, 0.05: 39, 0.02: 54}[grid_step]
+
+
+def test_oracle_caches_are_read_only():
+    p = Profile((1, 2), (1, 1))
+    q, best = exact_pml_oracle(p, grid_step=0.05)
+    expected = q.copy()
+    q[0] = 0.5
+    q2, best2 = exact_pml_oracle(p, grid_step=0.05)
+    assert q2.tobytes() == expected.tobytes() and best2 == best
+    qs, log_qs = estimator._simplex_grid(20, 0.05, 3)
+    assert estimator._simplex_grid(20, 0.05, 3)[0] is qs
+    a = estimator._assignments((0, 1, 2))
+    assert estimator._assignments((0, 1, 2)) is a
+    for table in (qs, log_qs, a):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_oracle_refuses_grids_past_the_state_limit():
+    # support 6 alone has 378 149 106 candidates at step 0.002: the grid is
+    # counted and refused before any of it is built
+    p = Profile((1,), (3,))
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with pytest.raises(ValueError, match="grid_step"):
+            exact_pml_oracle(p, grid_step=0.002)
+        elapsed = time.process_time() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10_000_000
+    for step in (0.1, 0.05, 0.02):
+        exact_pml_oracle(p, grid_step=step)
+    # the counts are the grid's sizes, capped one past the limit
+    for units in range(13):
+        for support in range(1, 7):
+            size = len(list(estimator._partitions_into(units, support, units)))
+            assert estimator._grid_size(units, range(support, support + 1)) == size
+    assert estimator._grid_size(200, range(5, 6)) == 583_464
+    assert estimator._grid_size(200, range(6, 7)) == estimator.GROUPED_STATE_LIMIT + 1
+    assert estimator._grid_size(10**9, range(1, 2)) == 1
 
 
 @pytest.mark.parametrize("grid_step", [0.05, 0.02])
@@ -150,10 +227,10 @@ def test_oracle_scores_match_the_evaluator(grid_step):
         for counts in _partitions(n, n):
             p = _profile_of_counts(list(counts))
             for support in range(p.observed, min(6, 2 * p.observed) + 1):
-                qs = estimator._simplex_grid(units, grid_step, support)
+                qs, log_qs = estimator._simplex_grid(units, grid_step, support)
                 if not len(qs):
                     continue
-                scores = estimator._log_probabilities(qs, p)
+                scores = estimator._log_probabilities(log_qs, p)
                 exact = np.array([profile_probability_grouped(q, p) for q in qs])
                 # relative to max(1, |exact|), as the oracle's tie tolerance is
                 assert np.all(np.abs(scores - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
@@ -163,9 +240,10 @@ def test_oracle_scores_in_bounded_memory():
     # 120 assignments per row: unchunked, the score matrix alone takes 192 MB
     p = Profile((1, 2, 3), (1, 1, 1))
     qs = np.random.default_rng(3).dirichlet(np.ones(6), 200_000)
+    log_qs = np.log(qs)
     tracemalloc.start()
     try:
-        scores = estimator._log_probabilities(qs, p)
+        scores = estimator._log_probabilities(log_qs, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

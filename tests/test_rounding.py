@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permpml import convex, rounding
 from permpml.convex import (
     AllocationMatrix,
     build_discretization,
@@ -312,3 +313,21 @@ def test_rounding_trace_json():
         lv > 0 or sum(row) > 0
         for lv, row in zip(obj["final"]["levels"], obj["final"]["entries"])
     )
+
+
+def test_log_g_drops_are_computed_from_the_stages(monkeypatch):
+    # round_allocation evaluates log g once, on its input; the drops are the
+    # differences of log g over the stages, computed when they are read
+    calls = []
+    for module in (convex, rounding):
+        monkeypatch.setattr(module, "log_g", lambda *a, f=module.log_g: calls.append(1) or f(*a))
+    for seq, n in [("aabbbc", 6), ("abcdeabcaa", 10)]:
+        p = profile_of_sequence(seq)
+        alloc = maximize_log_g(p, build_discretization(n))
+        calls.clear()
+        trace = round_allocation(alloc, 1.0 / math.sqrt(n))
+        assert len(calls) == 1
+        g = [alloc.log_g(), trace.stage1.log_g(), trace.stage2.log_g(), trace.final.log_g()]
+        assert trace.log_g_input == g[0]
+        assert trace.log_g_drops == (g[0] - g[1], g[1] - g[2], g[2] - g[3])
+        assert json.loads(trace.to_json())["log_g_drops"] == list(trace.log_g_drops)
