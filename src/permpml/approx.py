@@ -21,13 +21,12 @@ number of distinct columns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp, support_blocks
+from permpml.permanent import as_matrix, is_doubly_stochastic, logsumexp, strict_json, support_blocks
 
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITER = 100_000
@@ -56,7 +55,8 @@ class DoublyStochasticWitness:
 class ApproximationReport:
     """A permanent approximation and the solver run that made it.
 
-    `q` is the doubly stochastic point reached; `iterations` and `residual`
+    `q` is the doubly stochastic point whose objective is `log_value`
+    (Sinkhorn's witness, or the best Bethe iterate); `iterations` and `residual`
     are the solver's own: Sinkhorn's sweeps and worst row-marginal error, or
     Bethe's ascent steps and last Frank-Wolfe gap.
     """
@@ -69,15 +69,8 @@ class ApproximationReport:
     converged: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "method": self.method,
-                "log_value": self.log_value,
-                "iterations": self.iterations,
-                "residual": self.residual,
-                "converged": self.converged,
-            }
-        )
+        fields = ("method", "log_value", "iterations", "residual", "converged")
+        return strict_json({f: getattr(self, f) for f in fields})
 
 
 def functional_u(a, q) -> float:
@@ -311,8 +304,10 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     accepted by `_ascent_step`.  F is concave on the polytope (Vontobel
     2013), so the value is certified by a Frank-Wolfe gap <= BETHE_TOL
     whichever steps were taken.  `on_iteration`, when given, receives the
-    best objective after every step; it never decreases.  The report counts
-    the steps and carries the last gap as its residual.
+    best objective after every step; it never decreases.  The report's q is
+    the first point of that best objective, its log_value that objective
+    exactly.  It counts the steps and carries the last iterate's gap as its
+    residual: F(best) + gap still bounds the optimum, as F(best) >= F(last).
 
     It runs on the blocks of the support (`permanent.support_blocks`).  With
     no perfect matching no doubly stochastic point lies on the support: the
@@ -329,7 +324,7 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     free[n - 1 - np.unique(col_labels[::-1], return_index=True)[1]] = False
     qm = _scale(am).q
     f_cur = _f_value(am, qm)
-    best_f = f_cur
+    best_q, best_f = qm, f_cur
     allow_newton = True
     steps = 0
     gap = math.inf
@@ -362,10 +357,11 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
             allow_newton = True
         qm, f_cur = step
         steps += 1
-        best_f = max(best_f, f_cur)
+        if f_cur > best_f:
+            best_q, best_f = qm, f_cur
         if on_iteration is not None:
             on_iteration(best_f)
-    return ApproximationReport("bethe", best_f, qm, steps, gap, gap <= BETHE_TOL)
+    return ApproximationReport("bethe", best_f, best_q, steps, gap, gap <= BETHE_TOL)
 
 
 def block_ones_matrix(n: int, k: int) -> np.ndarray:

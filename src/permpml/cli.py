@@ -13,7 +13,7 @@ import sys
 
 from permpml.approx import bethe_permanent, sinkhorn_permanent
 from permpml.estimator import approximate_pml, exact_pml_oracle
-from permpml.permanent import log_permanent, matrix_from_json
+from permpml.permanent import log_permanent, matrix_from_json, strict_json
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
 
 EXIT_OK = 0
@@ -23,18 +23,10 @@ EXIT_NONCONVERGED = 3
 
 def _fmt(x: float | bool | None) -> str:
     if isinstance(x, bool):
-        return json.dumps(x)
+        return strict_json(x)
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return format(x, ".17g")
-
-
-def _strict_json(record: dict) -> str:
-    """JSON with `null` for the non-finite floats that strict parsers refuse."""
-    return json.dumps(
-        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in record.items()},
-        allow_nan=False,
-    )
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -89,7 +81,7 @@ def _cmd_perm_compare(args) -> int:
         "bethe_converged": bethe.converged,
     }
     if args.format == "json":
-        _write(_strict_json(record), args.out)
+        _write(strict_json(record), args.out)
     else:
         _write(",".join(_fmt(v) for v in record.values()), args.out)
     return EXIT_OK if sinkhorn.converged and bethe.converged else EXIT_NONCONVERGED
@@ -109,16 +101,8 @@ def _cmd_sample(args) -> int:
 def _cmd_oracle_pml(args) -> int:
     profile = _load_profile(args.profile_file)
     q, logp = exact_pml_oracle(profile, max_support=args.max_support, grid_step=args.grid_step)
-    _write(
-        json.dumps(
-            {
-                "distribution": [float(v) for v in q],
-                "log_profile_probability": logp,
-                "grid_step": args.grid_step,
-            }
-        ),
-        args.out,
-    )
+    record = {"distribution": q, "log_profile_probability": logp, "grid_step": args.grid_step}
+    _write(strict_json(record), args.out)
     return EXIT_OK
 
 

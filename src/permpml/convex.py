@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import logsumexp
+from permpml.permanent import logsumexp, strict_json
 from permpml.profiles import Profile, check_pseudo_distribution
 
 G_TOL = 1e-8
@@ -181,13 +181,7 @@ class AllocationMatrix:
         return bool(np.all(near_integer(self.row_sums())))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "levels": [float(x) for x in self.levels],
-                "entries": [[float(x) for x in row] for row in self.entries],
-                "profile": json.loads(self.profile.to_json()),
-            }
-        )
+        return strict_json(self)  # its fields, as from_json reads them
 
     @classmethod
     def from_json(cls, text: str) -> "AllocationMatrix":

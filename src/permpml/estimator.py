@@ -19,14 +19,14 @@ sizes are evaluated, by ``profile_probability_grouped``.
 from __future__ import annotations
 
 import functools
-import json
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from permpml.convex import build_discretization, maximize_log_g, pseudo_distribution_of
-from permpml.permanent import GROUPED_STATE_LIMIT, logsumexp
+from permpml.permanent import GROUPED_STATE_LIMIT, logsumexp, strict_json
 from permpml.profiles import (
     MASS_TOL,
     Profile,
@@ -55,15 +55,8 @@ class PmlResult:
     converged: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "distribution": [float(x) for x in self.distribution],
-                "log_profile_probability": self.log_profile_probability,
-                "solver_log_g": self.solver_log_g,
-                "converged": self.converged,
-                "params": self.params,
-            }
-        )
+        fields = ("distribution", "log_profile_probability", "solver_log_g", "converged", "params")
+        return strict_json({f: getattr(self, f) for f in fields})
 
 
 @dataclass(frozen=True)
@@ -167,22 +160,10 @@ def _simplex_grid(units: int, grid_step: float, support: int) -> tuple[np.ndarra
     return qs, log_qs
 
 
-def _arrangements(items: tuple) -> list[tuple]:
-    """The distinct orderings of a sorted tuple."""
-    if not items:
-        return [()]
-    return [
-        (x,) + rest
-        for i, x in enumerate(items)
-        if i == 0 or items[i - 1] != x
-        for rest in _arrangements(items[:i] + items[i + 1 :])
-    ]
-
-
 @functools.cache
 def _assignments(items: tuple) -> np.ndarray:
-    """The distinct orderings of a sorted tuple, one per row; cached read-only."""
-    a = np.array(_arrangements(items), dtype=float)
+    """The distinct orderings of a tuple, one per row in lexicographic order; cached read-only."""
+    a = np.array(sorted(set(itertools.permutations(items))), dtype=float)
     a.flags.writeable = False
     return a
 

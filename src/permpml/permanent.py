@@ -10,10 +10,13 @@ indecomposable block of the support (`support_blocks`), and
 `profiles.profile_probability_grouped` on the profile matrix.  Hard limits
 on the program's states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
+`strict_json` is the one JSON writer of the package and its CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from itertools import permutations
@@ -28,9 +31,6 @@ NAIVE_LIMIT = 8
 # oracle's scorer keeps its arrays to the state limit too.
 GROUPED_STATE_LIMIT = 1_000_000
 GROUPED_WORK_LIMIT = 100_000_000
-
-# Permutation index arrays are cached per n (8! rows at most).
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
 
 def as_matrix(a) -> np.ndarray:
@@ -51,11 +51,11 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
+@functools.cache
 def _perm_indices(n: int) -> np.ndarray:
-    idx = _PERM_CACHE.get(n)
-    if idx is None:
-        idx = np.array(list(permutations(range(n))), dtype=np.intp)
-        _PERM_CACHE[n] = idx
+    """The n! permutations of range(n), one per row (8! rows at most); cached read-only."""
+    idx = np.array(list(permutations(range(n))), dtype=np.intp)
+    idx.flags.writeable = False
     return idx
 
 
@@ -236,12 +236,35 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(rest.sum(axis=axis) / ties) + np.log(ties)) + top.squeeze(axis)
 
 
+def strict_json(record) -> str:
+    """JSON text of `record` that strict parsers accept.
+
+    numpy arrays and tuples are written as lists, dataclasses as the dict
+    of their fields, and every float that is not finite (a -inf log
+    permanent, say) as `null`, which is what strict parsers accept in place
+    of NaN and Infinity.
+    """
+    return json.dumps(_strict(record), allow_nan=False)
+
+
+def _strict(x):
+    if isinstance(x, float):  # numpy's float64 too
+        return x if math.isfinite(x) else None
+    if isinstance(x, np.ndarray):
+        return _strict(x.tolist())
+    if dataclasses.is_dataclass(x):
+        return {f.name: _strict(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return x
+
+
 def matrix_to_json(a) -> str:
     """Serialize a matrix as {"rows": N, "cols": N, "data": [row-major]}."""
     m = as_matrix(a)
-    return json.dumps(
-        {"rows": m.shape[0], "cols": m.shape[1], "data": [float(v) for v in m.ravel()]}
-    )
+    return strict_json({"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel()})
 
 
 def matrix_from_json(text: str) -> np.ndarray:

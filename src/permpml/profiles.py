@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import log_homogeneous_coefficient
+from permpml.permanent import log_homogeneous_coefficient, strict_json
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
@@ -67,7 +67,7 @@ class Profile:
         return sum(self.counts)
 
     def to_json(self) -> str:
-        return json.dumps({"freqs": list(self.freqs), "counts": list(self.counts)})
+        return strict_json(self)  # its fields, as from_json reads them
 
     @classmethod
     def from_json(cls, text: str) -> "Profile":

@@ -14,12 +14,12 @@ integer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from permpml.convex import AllocationMatrix, log_g, near, near_integer
+from permpml.permanent import strict_json
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,14 @@ class RoundingTrace:
     def to_json(self) -> str:
         # degenerate zero-mass rows at probability 0 only pad the indices;
         # they are dropped from the serialized audit record
-        def pruned(alloc: AllocationMatrix) -> dict:
+        def pruned(alloc: AllocationMatrix) -> AllocationMatrix:
             keep = (alloc.levels > 0) | (alloc.entries.sum(axis=1) > 0)
-            trimmed = AllocationMatrix(alloc.levels[keep], alloc.entries[keep], alloc.profile)
-            return json.loads(trimmed.to_json())
+            return AllocationMatrix(alloc.levels[keep], alloc.entries[keep], alloc.profile)
 
-        return json.dumps(
+        return strict_json(
             {
                 "gamma": self.gamma,
-                "log_g_drops": list(self.log_g_drops),
+                "log_g_drops": self.log_g_drops,
                 "stage1": pruned(self.stage1),
                 "stage2": pruned(self.stage2),
                 "final": pruned(self.final),
@@ -225,8 +224,8 @@ def round_allocation(s: AllocationMatrix, gamma: float) -> RoundingTrace:
     final_levels = stage2.levels / (1.0 + gamma)
     # snap row sums that are integral within tolerance to exact integers
     rs = final_entries.sum(axis=1)
-    near = near_integer(rs) & (rs > 0) & (np.round(rs) > 0)
-    final_entries[near] *= (np.round(rs[near]) / rs[near])[:, None]
+    snap = near_integer(rs) & (rs > 0) & (np.round(rs) > 0)
+    final_entries[snap] *= (np.round(rs[snap]) / rs[snap])[:, None]
     final = AllocationMatrix(final_levels, final_entries, s.profile)
     return RoundingTrace(
         stage1=stage1, stage2=stage2, final=final, gamma=gamma, log_g_input=g_input

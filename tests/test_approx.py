@@ -491,6 +491,17 @@ def test_bethe_monotone_objective():
     assert all(b >= a for a, b in zip(traj, traj[1:]))
 
 
+def test_bethe_reports_the_point_of_its_value():
+    # log_value is the best objective seen; q must be the point that has it,
+    # not the last iterate (they differ on seed 1, n = 7)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        a = rng.uniform(0, 1, (n, n)) ** 3
+        r = bethe_permanent(a)
+        assert approx._f_value(a, r.q) == r.log_value, seed
+
+
 def test_sandwich_random_matrices():
     rng = np.random.default_rng(2)
     for _ in range(30):

@@ -7,15 +7,22 @@ import numpy as np
 import pytest
 
 from permpml import approx
-from permpml.cli import _strict_json, build_parser, main
-from permpml.permanent import matrix_to_json
+from permpml.cli import build_parser, main
+from permpml.estimator import approximate_pml
+from permpml.permanent import matrix_to_json, strict_json
 from permpml.profiles import Profile
+
+NO_MATCHING = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def refuse(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 def test_profile_command(tmp_path, capsys):
@@ -157,10 +164,7 @@ def test_perm_compare_json_writes_null_for_non_finite_values():
         "gap_scaled_sinkhorn": -math.inf,
     }
 
-    def refuse(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
-    obj = json.loads(_strict_json(record), parse_constant=refuse)
+    obj = json.loads(strict_json(record), parse_constant=refuse)
     assert obj == {
         "n": 3,
         "log_perm": None,
@@ -169,6 +173,30 @@ def test_perm_compare_json_writes_null_for_non_finite_values():
         "gap_bethe": None,
         "gap_scaled_sinkhorn": None,
     }
+
+
+def test_every_writer_is_strict_json(tmp_path, capsys):
+    # no perfect matching: every approximation is the exact zero permanent, log -inf
+    p = Profile((1, 2), (2, 1))
+    result = approximate_pml(p)
+    methods = (approx.sinkhorn_permanent, approx.scaled_sinkhorn_permanent, approx.bethe_permanent)
+    reports = [f(NO_MATCHING) for f in methods]
+    texts = [
+        matrix_to_json(NO_MATCHING),
+        p.to_json(),
+        result.to_json(),
+        result.trace.to_json(),
+        result.trace.final.to_json(),
+        *(r.to_json() for r in reports),
+    ]
+    pfile, mfile = tmp_path / "p.json", tmp_path / "m.json"
+    pfile.write_text(p.to_json())
+    mfile.write_text(matrix_to_json(NO_MATCHING))
+    for argv in (["pml", pfile], ["oracle-pml", pfile], ["perm-compare", mfile, "--format", "json"]):
+        texts.append(run(capsys, list(map(str, argv)))[1])
+    for text in texts:
+        json.loads(text, parse_constant=refuse)
+    assert [json.loads(r.to_json())["log_value"] for r in reports] == [None] * 3
 
 
 def test_perm_compare_past_exact_limits(tmp_path, capsys):
@@ -190,9 +218,8 @@ def test_perm_compare_zero_row_writes_nulls(tmp_path, capsys):
     # method answers the zero permanent exactly, without a Sinkhorn sweep
     zero_row = np.ones((3, 3))
     zero_row[1] = 0.0
-    no_matching = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     mfile = tmp_path / "m.json"
-    for m in (zero_row, no_matching):
+    for m in (zero_row, NO_MATCHING):
         mfile.write_text(matrix_to_json(m))
         code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
         assert code == 0
