@@ -5,10 +5,11 @@ the support of the input matrix.  The Sinkhorn maximizer is the diagonal
 scaling reached by alternating row/column normalization, swept as
 matrix-vector products on a fixed kernel, A itself when its row and column
 sums are in range; scalings that leave the range are folded into the log
-domain (Schmitzer 2019).  The Bethe optimum is
-found from the Sinkhorn witness by equality-constrained Newton steps and
-conditional-gradient steps (the linear subproblem is an assignment problem),
-each accepted by halving from the longest feasible step until it ascends.
+domain (Schmitzer 2019).  The Sinkhorn value is read from the scalings.
+The Bethe optimum is found from Sinkhorn's point by equality-constrained
+Newton steps and conditional-gradient steps (the linear subproblem is an
+assignment problem), each accepted by halving from the longest feasible step
+until it ascends.
 The assignment solver, `scipy.optimize.linear_sum_assignment`, is imported by
 the first Bethe call and not by `import permpml`.  All three run on the fully
 indecomposable blocks of the support (`permanent.support_blocks`), and answer
@@ -41,24 +42,14 @@ _SCALER_MIN = 1e-100
 
 
 @dataclass(frozen=True)
-class DoublyStochasticWitness:
-    """Diagonal-scaling witness q = diag(row_scalers) a diag(col_scalers) of a within its blocks."""
-
-    q: np.ndarray
-    row_scalers: np.ndarray
-    col_scalers: np.ndarray
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class ApproximationReport:
     """A permanent approximation and the solver run that made it.
 
     `q` is the doubly stochastic point whose objective is `log_value`
-    (Sinkhorn's witness, or the best Bethe iterate); `iterations` and `residual`
-    are the solver's own: Sinkhorn's sweeps and worst row-marginal error, or
-    Bethe's ascent steps and last Frank-Wolfe gap.
+    (Sinkhorn's diagonal scaling of A, or the best Bethe iterate);
+    `iterations` and `residual` are the solver's own: Sinkhorn's sweeps and
+    worst row-marginal error, or Bethe's ascent steps and last Frank-Wolfe
+    gap.
     """
 
     method: str  # 'sinkhorn' | 'scaled_sinkhorn' | 'bethe'
@@ -120,11 +111,12 @@ def _within_blocks(am: np.ndarray):
     return None if blocks is None else (np.where(blocks[0][:, None] == blocks[1], am, 0.0), blocks[1])
 
 
-def sinkhorn_scale(a) -> DoublyStochasticWitness:
+def sinkhorn_scale(a) -> ApproximationReport:
     """Alternating row/column normalization until the worst row-marginal error <= SINKHORN_TOL.
 
-    Each sweep ends on the column step, so the column sums are 1 to within
-    an ulp.  Runs on the blocks of the support, where a scaling exists
+    Returns the Sinkhorn report, q being the scaling of A reached.  Each
+    sweep ends on the column step, so the column sums are 1 to within an
+    ulp.  Runs on the blocks of the support, where a scaling exists
     (Sinkhorn & Knopp 1967); with no perfect matching none does: ValueError.
     """
     reduced = _within_blocks(as_matrix(a))
@@ -137,7 +129,7 @@ def _outside_scaler_range(x: np.ndarray) -> bool:
     return x.min() < _SCALER_MIN or x.max() > 1.0 / _SCALER_MIN
 
 
-def _scale(am: np.ndarray) -> DoublyStochasticWitness:
+def _scale(am: np.ndarray) -> ApproximationReport:
     """`sinkhorn_scale` on a matrix whose entries all lie in its blocks.
 
     Sweeps are linear on a kernel K, u = 1/(K v) then v = 1/(K^T u), with
@@ -153,7 +145,12 @@ def _scale(am: np.ndarray) -> DoublyStochasticWitness:
     N x N array, and log A is built by the first log-domain sweep.  The
     residual is read from the row sums alone.  Ill-conditioned inputs can
     still use up all the sweeps; the last iterate's residual exposes it
-    (callers flag converged=False).
+    (converged=False).
+
+    The iterate is q = A exp(L_i + R_j) with L = logl + log u and
+    R = logr + log v, so U(A, q) = sum q log(A / q) is -(L . r + R . c) for
+    its row and column sums r and c, at any sweep: the value costs no log
+    of an N x N array.
     """
     n = len(am)
     kernel = am
@@ -187,25 +184,23 @@ def _scale(am: np.ndarray) -> DoublyStochasticWitness:
         if residual <= SINKHORN_TOL:
             break
         absorb = _outside_scaler_range(uv)
-    return DoublyStochasticWitness(
-        q=u[:, None] * kernel * v[None, :],
-        row_scalers=np.exp(logl + np.log(u)),
-        col_scalers=np.exp(logr + np.log(v)),
-        iterations=iterations,
-        residual=residual,
-    )
+    q = u[:, None] * kernel * v[None, :]
+    # 0.0 - x rather than -x, so that an exact 0 (a permutation matrix A) is 0.0, not -0.0
+    log_value = 0.0 - float((logl + np.log(u)) @ q.sum(axis=1) + (logr + np.log(v)) @ q.sum(axis=0))
+    return ApproximationReport("sinkhorn", log_value, q, iterations, residual, residual <= SINKHORN_TOL)
 
 
 def sinkhorn_permanent(a) -> ApproximationReport:
-    """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent, exact (-inf) when it is 0."""
+    """exp(max_Q U(A, Q)): an e^N over-estimate of the permanent, exact (-inf) when it is 0.
+
+    The report of `sinkhorn_scale`, or with no perfect matching the exact
+    -inf, with 0 sweeps, residual 0, converged, q all zeros.
+    """
     am = as_matrix(a)
     reduced = _within_blocks(am)
     if reduced is None:
         return ApproximationReport("sinkhorn", -math.inf, np.zeros_like(am), 0, 0.0, True)
-    w = _scale(reduced[0])
-    return ApproximationReport(
-        "sinkhorn", _u_value(am, w.q), w.q, w.iterations, w.residual, w.residual <= SINKHORN_TOL
-    )
+    return _scale(reduced[0])
 
 
 def scaled_sinkhorn_permanent(a) -> ApproximationReport:
@@ -297,7 +292,7 @@ def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
 def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     """exp(max_Q U(A, Q) + V(Q)) by Newton and Frank-Wolfe ascent steps.
 
-    Starts at the Sinkhorn witness (same support, finite objective).  Plain
+    Starts at Sinkhorn's q (same support, finite objective).  Plain
     conditional gradient zigzags near the (interior) optimum, so each round
     tries an equality-constrained Newton step first, and a Frank-Wolfe step
     towards the assignment vertex when Newton does not improve; both are

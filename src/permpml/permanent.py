@@ -239,16 +239,18 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def strict_json(record) -> str:
     """JSON text of `record` that strict parsers accept.
 
-    numpy arrays and tuples are written as lists, dataclasses as the dict
-    of their fields, and every float that is not finite (a -inf log
-    permanent, say) as `null`, which is what strict parsers accept in place
-    of NaN and Infinity.
+    numpy arrays and tuples are written as lists, numpy scalars as their
+    Python values, dataclasses as the dict of their fields, and every float
+    that is not finite (a -inf log permanent, say) as `null`, which is what
+    strict parsers accept in place of NaN and Infinity.
     """
     return json.dumps(_strict(record), allow_nan=False)
 
 
 def _strict(x):
-    if isinstance(x, float):  # numpy's float64 too
+    if isinstance(x, np.generic):  # a numpy scalar: its Python value
+        x = x.item()
+    if isinstance(x, float):
         return x if math.isfinite(x) else None
     if isinstance(x, np.ndarray):
         return _strict(x.tolist())

@@ -22,6 +22,7 @@ from permpml.approx import (
 from permpml.permanent import is_doubly_stochastic, log_permanent, permanent_naive, support_blocks
 
 J2 = np.ones((2, 2))
+ILL_CONDITIONED = np.array([[1e-200, 1e-200], [1e-200, 1.0]])
 
 
 def test_functional_u_values():
@@ -55,9 +56,24 @@ def test_sinkhorn_all_ones_one_sweep():
 
 
 def test_sinkhorn_diagonal_recovers_inverse():
-    w = sinkhorn_scale(np.diag([2.0, 5.0]))
+    a = np.diag([2.0, 5.0])
+    w = sinkhorn_scale(a)
     np.testing.assert_allclose(w.q, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(w.row_scalers * w.col_scalers, [0.5, 0.2], rtol=1e-10)
+    _assert_diagonal_scaling(w.q, a)
+    # the scalings are 1/2 and 1/5, and the value is minus the sum of their logs
+    assert w.log_value == pytest.approx(math.log(10.0), rel=1e-12)
+
+
+def _assert_diagonal_scaling(q, a):
+    """q is diag(x) a diag(y) for some positive x, y: log q - log a = log x_i + log y_j on q's support."""
+    rows, cols = np.nonzero(q)
+    assert np.all(a[rows, cols] > 0)
+    entries, n = np.arange(len(rows)), len(a)
+    design = np.zeros((len(rows), 2 * n))
+    design[entries, rows] = design[entries, n + cols] = 1.0
+    target = np.log(q[rows, cols]) - np.log(a[rows, cols])
+    fit = np.linalg.lstsq(design, target, rcond=None)[0]
+    assert np.abs(design @ fit - target).max() <= 1e-10
 
 
 def test_sinkhorn_matches_grid_search_2x2(monkeypatch):
@@ -83,9 +99,7 @@ def test_sinkhorn_witness_contract():
     a = rng.uniform(0.01, 1.0, (6, 6))
     w = sinkhorn_scale(a)
     assert is_doubly_stochastic(w.q, max(w.residual, 1e-15))
-    np.testing.assert_allclose(
-        w.q, w.row_scalers[:, None] * a * w.col_scalers[None, :], rtol=1e-12
-    )
+    _assert_diagonal_scaling(w.q, a)
 
 
 def test_sinkhorn_requires_support():
@@ -111,9 +125,8 @@ def test_sinkhorn_without_total_support_runs_on_its_blocks():
 def test_sinkhorn_flags_nonconvergence_on_ill_conditioned_input(monkeypatch):
     # one block, but entries 200 orders of magnitude apart: the residual
     # falls like 1/sweeps (the default cap runs all 100 000 sweeps)
-    a = np.array([[1e-200, 1e-200], [1e-200, 1.0]])
     monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
-    report = scaled_sinkhorn_permanent(a)
+    report = scaled_sinkhorn_permanent(ILL_CONDITIONED)
     assert not report.converged
     assert report.iterations == 500
     assert report.residual == pytest.approx(1e-3, rel=1e-2)
@@ -163,6 +176,7 @@ def _log_domain_starts():
     return [subnormal_row, tiny_column, large, huge_row]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the subnormal row's scaling is about 1e310
 @pytest.mark.parametrize(
     "case", range(4), ids=["subnormal_row", "tiny_column", "times_1e150", "row_times_1e300"]
 )
@@ -170,12 +184,12 @@ def test_sinkhorn_starts_in_the_log_domain_on_out_of_range_marginals(monkeypatch
     a = _log_domain_starts()[case]
     halves = _counting_logsumexp(monkeypatch)
     monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 1)
-    with np.errstate(over="ignore"):  # the subnormal row's scaler, about 1e310, is inf
-        sinkhorn_scale(a)
-        assert halves == [1, 0]
-        monkeypatch.undo()
-        w = sinkhorn_scale(a)
+    sinkhorn_scale(a)
+    assert halves == [1, 0]
+    monkeypatch.undo()
+    w = sinkhorn_scale(a)
     assert np.all(np.isfinite(w.q)) and w.residual <= approx.SINKHORN_TOL
+    _assert_diagonal_scaling(w.q, a)
     q, sweeps = _log_domain_sinkhorn(a)
     assert w.iterations == sweeps
     np.testing.assert_allclose(w.q, q, rtol=0, atol=1e-12)
@@ -214,11 +228,14 @@ def _perm_workload_matrices():
     return mats + [block_ones_matrix(n, k) for n, k in ((12, 2), (36, 5), (60, 5))]
 
 
+def _cubes():
+    rng = np.random.default_rng(7)
+    return [rng.uniform(0, 1, (n, n)) ** 3 for n in rng.integers(2, 31, size=50)]
+
+
 def _check_against_log_domain_reference() -> int:
     """Compare sinkhorn_scale with the reference; returns the number of matrices."""
-    rng = np.random.default_rng(7)
-    cubes = [rng.uniform(0, 1, (n, n)) ** 3 for n in rng.integers(2, 31, size=50)]
-    matrices = _perm_workload_matrices() + cubes
+    matrices = _perm_workload_matrices() + _cubes()
     for a in matrices:
         w = sinkhorn_scale(a)
         q, sweeps = _log_domain_sinkhorn(a)
@@ -232,18 +249,45 @@ def test_sinkhorn_matches_log_domain_reference():
     _check_against_log_domain_reference()
 
 
-def test_sinkhorn_on_badly_scaled_input():
-    # A = D1 K D2 has K's doubly stochastic scaling; the first, log-domain
-    # sweep takes diagonals of 10^(+-150) into the scalers without overflow
+def _badly_scaled():
+    """A = D1 K D2 with diagonals of 10^(+-150), and K."""
     rng = np.random.default_rng(11)
     k = rng.uniform(0.1, 1.0, (30, 30))
-    a = 10.0 ** rng.uniform(-150, 150, 30)[:, None] * k * 10.0 ** rng.uniform(-150, 150, 30)[None, :]
+    return 10.0 ** rng.uniform(-150, 150, 30)[:, None] * k * 10.0 ** rng.uniform(-150, 150, 30)[None, :], k
+
+
+def test_sinkhorn_on_badly_scaled_input():
+    # A = D1 K D2 has K's doubly stochastic scaling; the first, log-domain
+    # sweep takes the diagonals into the scalings without overflow
+    a, k = _badly_scaled()
     w = sinkhorn_scale(a)
     assert w.residual <= approx.SINKHORN_TOL
     np.testing.assert_allclose(w.q, sinkhorn_scale(k).q, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        w.q, w.row_scalers[:, None] * a * w.col_scalers[None, :], rtol=1e-12
-    )
+    _assert_diagonal_scaling(w.q, a)
+
+
+def test_sinkhorn_value_is_read_from_the_scalings(monkeypatch):
+    # one report: sinkhorn_scale's is sinkhorn_permanent's, and its value is
+    # U(A, q) at the q it returns, converged or not
+    matrices = [
+        *_perm_workload_matrices(),
+        *_cubes(),
+        *_random_sparse_matrices_with_a_matching(),
+        _badly_scaled()[0],
+        *_log_domain_starts(),
+        ILL_CONDITIONED,
+    ]
+    for a in matrices:
+        if a is ILL_CONDITIONED:
+            monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
+        r, s = sinkhorn_permanent(a), sinkhorn_scale(a)
+        u = approx._u_value(a, r.q)
+        assert abs(r.log_value - u) <= 1e-12 * max(1.0, abs(u))
+        assert (s.method, s.log_value, s.q.tobytes(), s.iterations, s.residual, s.converged) == (
+            r.method, r.log_value, r.q.tobytes(), r.iterations, r.residual, r.converged
+        )
+    assert len(matrices) == 12 + 50 + 141 + 1 + 4 + 1
+    assert not r.converged and r.iterations == 500
 
 
 def test_scaled_sinkhorn_j2():

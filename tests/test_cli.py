@@ -197,6 +197,10 @@ def test_every_writer_is_strict_json(tmp_path, capsys):
     for text in texts:
         json.loads(text, parse_constant=refuse)
     assert [json.loads(r.to_json())["log_value"] for r in reports] == [None] * 3
+    # a profile of numpy integers is written as the same profile of Python ints
+    numpy_p = Profile(tuple(np.array([1, 2])), tuple(np.array([2, 1])))
+    for got, want in ((numpy_p.to_json(), p.to_json()), (approximate_pml(numpy_p).to_json(), result.to_json())):
+        assert got == want  # so it is strict JSON too
 
 
 def test_perm_compare_past_exact_limits(tmp_path, capsys):
