@@ -153,6 +153,8 @@ def _scale(am: np.ndarray) -> ApproximationReport:
     of an N x N array.
     """
     n = len(am)
+    if n == 0:  # the empty matrix: its permanent, 1, is exact
+        return ApproximationReport("sinkhorn", 0.0, am, 0, 0.0, True)
     kernel = am
     loga = None
     logl = logr = np.zeros(n)

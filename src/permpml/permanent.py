@@ -5,8 +5,11 @@ eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
 reference of the tests.  `log_homogeneous_coefficient` is the one exact
 dynamic program: a log-domain program over the counts of each distinct
-column but the largest.  `log_permanent` runs it on each fully
-indecomposable block of the support (`support_blocks`), and
+column but the largest.  A permanent is also its transpose's, so
+`log_coefficient_cheaper_side` runs the program over the distinct columns or
+over the distinct rows, whichever costs less work.  `log_permanent` calls it
+on each fully indecomposable block of the support (`support_blocks`), whose
+equal columns and rows `_distinct_columns` groups with one sort per axis, and
 `profiles.profile_probability_grouped` on the profile matrix.  Hard limits
 on the program's states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
@@ -19,7 +22,7 @@ import dataclasses
 import functools
 import json
 import math
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import numpy as np
 
@@ -91,13 +94,16 @@ def log_permanent(a) -> float:
     over the blocks of `support_blocks`.  Within a block with phi_j copies
     of each distinct column c_j, perm is prod_j phi_j! times the coefficient
     of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j, with rho_i equal rows
-    grouped into one factor (sum_j c_ij y_j)^{rho_i}.  The coefficient is
-    `log_homogeneous_coefficient`'s, which eliminates the column type of
-    largest multiplicity: prod (phi_j+1) states over the others,
-    exp(O(k log(N/k))) for k distinct columns
-    whatever N is.  A dense block with all columns distinct has 2^(N-1)
-    states and stops at N = 19 under the work limit; a sparse matrix stops
-    only when one of its blocks does.
+    grouped into one factor (sum_j c_ij y_j)^{rho_i}; `_distinct_columns`
+    groups the columns, then the rows of the distinct columns, with one
+    np.lexsort each.  The coefficient is `log_homogeneous_coefficient`'s,
+    which eliminates the column type of largest multiplicity: prod (phi_j+1)
+    states over the others, exp(O(k log(N/k))) for k distinct columns
+    whatever N is.  `log_coefficient_cheaper_side` runs it on the rows
+    instead when that is less work, so k distinct rows cost the same.  A
+    dense block with all columns and rows distinct has 2^(N-1) states and
+    stops at N = 20 under the work limit; a sparse matrix stops only when
+    one of its blocks does.
     """
     m = as_matrix(a)
     blocks = support_blocks(m > 0)
@@ -137,6 +143,30 @@ def support_blocks(support: np.ndarray):
     return labels, labels[position]
 
 
+def _dp_size(phi: list[int], rho: list[int]) -> tuple[int, int]:
+    """States and work of log_homogeneous_coefficient(phi, ., rho).
+
+    The states are prod_j (phi_j+1) over the column types but the (first)
+    largest, and the work is states x k x sum_i min(rho_i, N), for the k
+    other types of positive count and their total count N.
+    """
+    top = max(phi)
+    rest = sum(phi) - top
+    states = math.prod([c + 1 for c in phi]) // (top + 1)
+    return states, states * (len(phi) - phi.count(0) - 1) * sum([c if c < rest else rest for c in rho])
+
+
+def _within_limits(states: int, work: int) -> bool:
+    return states <= GROUPED_STATE_LIMIT and work <= GROUPED_WORK_LIMIT
+
+
+def _past_limits(states: int, work: int, where: str = "") -> ValueError:
+    return ValueError(
+        f"grouped evaluation needs {states} states and {work} slice updates{where}, "
+        f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
+    )
+
+
 def log_homogeneous_coefficient(phi, log_c, rho) -> float:
     """log of the coefficient of prod_j y_j^phi_j in prod_i (sum_j c_ij y_j)^rho_i.
 
@@ -154,25 +184,22 @@ def log_homogeneous_coefficient(phi, log_c, rho) -> float:
     coefficient one step up axis j.  All terms are positive, so nothing
     cancels.
 
-    Cost: prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.  A
-    call whose state count or work count (states x k x shifts) exceeds
-    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
-    state is allocated.
+    Cost (`_dp_size`): prod_j (phi_j+1) states and sum_i T_i shifts of k
+    slices each.  A call whose state count or work count (states x k x
+    shifts) exceeds GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises
+    ValueError before the state is allocated.
     """
-    phi = np.asarray(phi)
-    kept = np.flatnonzero(phi > 0)
-    order = kept[np.argsort(-phi[kept], kind="stable")]
-    log_w0, log_w = log_c[:, order[0]].tolist(), log_c[:, order[1:]]
-    phi = phi[order[1:]].tolist()
-    k = len(phi)
-    powers = [min(int(c), sum(phi)) for c in rho]
-    states = math.prod(c + 1 for c in phi)
-    work = states * k * sum(powers)
-    if states > GROUPED_STATE_LIMIT or work > GROUPED_WORK_LIMIT:
-        raise ValueError(
-            f"grouped evaluation needs {states} states and {work} slice updates, "
-            f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
-        )
+    phi = [int(c) for c in phi]
+    rho = [int(c) for c in rho]
+    states, work = _dp_size(phi, rho)
+    if not _within_limits(states, work):
+        raise _past_limits(states, work)
+    # the types of positive count, largest first; sorted is stable, also reversed
+    order = sorted(range(len(phi)), key=phi.__getitem__, reverse=True)[: len(phi) - phi.count(0)]
+    log_w0, log_w = log_c[:, order[0]].tolist(), log_c[:, order[1:]].tolist()
+    phi = [phi[j] for j in order[1:]]
+    k, rest = len(phi), sum(phi)
+    powers = [min(c, rest) for c in rho]
     everything = (slice(None),) * k
     shifts = [
         (
@@ -183,23 +210,83 @@ def log_homogeneous_coefficient(phi, log_c, rho) -> float:
     ]
     coef = np.full(tuple(c + 1 for c in phi), -math.inf)
     coef[(0,) * k] = 0.0
-    for row, lw0, count, t_max in zip(log_w, log_w0, map(int, rho), powers):
+    for row, lw0, count, t_max in zip(log_w, log_w0, rho, powers):
         acc = coef + _log_term(count, t_max, lw0)
         for t in range(t_max - 1, -1, -1):
             nxt = coef + _log_term(count, t, lw0)
             for wj, (dst, src) in zip(row, shifts):
-                np.logaddexp(nxt[dst], acc[src] + wj, out=nxt[dst])
+                view = nxt[dst]
+                np.logaddexp(view, acc[src] + wj, out=view)
             acc = nxt
         coef = acc
     return float(coef[(-1,) * k])
 
 
+def log_coefficient_cheaper_side(phi, log_c, rho) -> float:
+    """log_homogeneous_coefficient(phi, log_c, rho), run on the side of less work.
+
+    The coefficient times prod_j phi_j! is the permanent of the matrix with
+    rho_i copies of row i and phi_j copies of column j of c, and so is the
+    transposed call's, (rho, log_c.T, phi), times prod_i rho_i!: the row
+    side gives the same value corrected by sum_i log rho_i! - sum_j
+    log phi_j!.  The side whose `_dp_size` work is smaller runs, the column
+    side on a tie; a side past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT
+    runs only when the other is past them too, and then ValueError, naming
+    the cheaper side, is raised before any state is allocated.
+    """
+    phi = [int(c) for c in phi]
+    rho = [int(c) for c in rho]
+    cols, rows = _dp_size(phi, rho), _dp_size(rho, phi)
+    col_fits, row_fits = _within_limits(*cols), _within_limits(*rows)
+    transposed = rows[1] < cols[1] if col_fits == row_fits else row_fits
+    if not (col_fits or row_fits):
+        side = "row" if transposed else "column"
+        raise _past_limits(*(rows if transposed else cols), f" on its cheaper side, the {side} side")
+    if not transposed:
+        return log_homogeneous_coefficient(phi, log_c, rho)
+    return log_homogeneous_coefficient(rho, log_c.T, phi) + _log_factorial_ratio(rho, phi)
+
+
+def _log_factorial_ratio(top: list[int], bottom: list[int]) -> float:
+    """log(prod_i top_i! / prod_j bottom_j!), the counts paired largest to largest.
+
+    A pair whose larger count a is under twice the smaller b is summed term
+    by term, log(a!/b!) = sum_{b < s <= a} log s: the difference of two
+    lgammas near 10^6 would cancel digits.  Otherwise that difference is
+    at least about half of its larger term, and is taken.
+    """
+    terms = []
+    for a, b in zip_longest(sorted(top, reverse=True), sorted(bottom, reverse=True), fillvalue=0):
+        lo, hi = min(a, b), max(a, b)
+        sign = 1.0 if a >= b else -1.0
+        if hi < 2 * lo:
+            terms += [sign * math.log(s) for s in range(lo + 1, hi + 1)]
+        else:
+            terms.append(sign * (math.lgamma(hi + 1) - math.lgamma(lo + 1)))
+    return math.fsum(terms)
+
+
+def _distinct_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of m and the count of each, from one np.lexsort.
+
+    Sorted, equal columns sit side by side, and a new one starts where a
+    column differs from the one before it in any entry.  `log_permanent`
+    groups a block's columns with it, then the rows of the distinct columns.
+    """
+    m = m[:, np.lexsort(m)]
+    change = np.ones(m.shape[1] + 1, dtype=bool)
+    change[1:-1] = (m[:, 1:] != m[:, :-1]).any(axis=0)
+    edges = np.flatnonzero(change)  # where each distinct column starts, then the end
+    return m[:, edges[:-1]], edges[1:] - edges[:-1]
+
+
 def _log_permanent_connected(m: np.ndarray) -> float:
-    cols, phi = np.unique(m, axis=1, return_counts=True)
-    rows, rho = np.unique(cols, axis=0, return_counts=True)
+    cols, phi = _distinct_columns(m)
+    rows, rho = _distinct_columns(cols.T)  # the distinct rows of those, transposed
     with np.errstate(divide="ignore"):
-        log_c = np.log(rows)
-    return log_homogeneous_coefficient(phi, log_c, rho) + sum(math.lgamma(f + 1) for f in phi.tolist())
+        log_c = np.log(rows.T)
+    phi = phi.tolist()
+    return log_coefficient_cheaper_side(phi, log_c, rho.tolist()) + sum(math.lgamma(f + 1) for f in phi)
 
 
 def is_doubly_stochastic(a, tol: float) -> bool:

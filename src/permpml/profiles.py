@@ -6,11 +6,14 @@ profile under a (pseudo-)distribution factors through the permanent of the
 profile probability matrix, which is what the whole pipeline approximates.
 
 ``profile_probability_grouped`` evaluates it exactly; the profile matrix has
-at most k+1 distinct columns (the unseen frequency and the k observed ones),
-and ``permanent.log_homogeneous_coefficient`` runs its dynamic program over
-them with the column of largest count eliminated, in prod (phi_j+1) states
-over the other columns, whatever the domain size is.  Calls past the
-program's hard limits raise ValueError before any work is done.
+at most k+1 distinct columns (the unseen frequency and the k observed ones)
+and one distinct row per distinct value of q.  The dynamic program of
+``permanent.log_homogeneous_coefficient`` runs over the counts of either,
+with the type of largest count eliminated, whatever the domain size is:
+``permanent.log_coefficient_cheaper_side`` picks the side of less work, so
+an output with few distinct values is exact even when the profile has many
+frequencies.  Calls past the program's hard limits on both sides raise
+ValueError before any work is done.
 ``profile_probability_bruteforce`` enumerates raw sequences (tiny n only)
 and ``profile_probability_matrix`` builds the paper's N x N matrix; both are
 references for the tests.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import log_homogeneous_coefficient, strict_json
+from permpml.permanent import log_coefficient_cheaper_side, strict_json
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
@@ -149,10 +152,10 @@ def profile_probability_grouped(q, p: Profile) -> float:
     phi_0 = sum_i rho_i - observed.  Entries of q equal to 0 drop out: such
     a symbol can only be unseen, so with u unseen columns it multiplies both
     the permanent and its divisor u! by u.
-    `permanent.log_homogeneous_coefficient` computes the coefficient, with
-    the column of largest count eliminated.  A profile past
-    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises ValueError before the
-    state is allocated.
+    `permanent.log_coefficient_cheaper_side` computes the coefficient, over
+    the counts phi_j or over the counts rho_i, whichever is less work.  A
+    call past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT on both sides raises
+    ValueError, naming the cheaper side, before the state is allocated.
     """
     v = check_pseudo_distribution(q)
     values, rho = np.unique(v[v > 0], return_counts=True)
@@ -160,7 +163,7 @@ def profile_probability_grouped(q, p: Profile) -> float:
     if unseen < 0:
         return -math.inf  # fewer possible symbols than observed ones
     log_c = np.log(values)[:, None] * np.array([0, *p.freqs], dtype=float)
-    return log_c_phi(p) + log_homogeneous_coefficient([unseen, *p.counts], log_c, rho)
+    return log_c_phi(p) + log_coefficient_cheaper_side([unseen, *p.counts], log_c, rho.tolist())
 
 
 def sample_sequence(q, n: int, seed) -> list[str]:

@@ -120,6 +120,12 @@ def test_sinkhorn_without_total_support_runs_on_its_blocks():
         assert (r.log_value, r.residual, r.converged) == (0.0, 0.0, True)
         np.testing.assert_array_equal(r.q, np.eye(2))
     assert log_permanent(a) == 0.0
+    # the empty matrix has no blocks either: its permanent, 1, is exact
+    empty = np.zeros((0, 0))
+    for method in (sinkhorn_scale, sinkhorn_permanent, scaled_sinkhorn_permanent, bethe_permanent):
+        r = method(empty)
+        assert (r.log_value, r.iterations, r.residual, r.converged, r.q.shape) == (0.0, 0, 0.0, True, (0, 0))
+    assert log_permanent(empty) == 0.0 and permanent_naive(empty) == 1.0
 
 
 def test_sinkhorn_flags_nonconvergence_on_ill_conditioned_input(monkeypatch):

@@ -69,9 +69,11 @@ def test_pml_validation_exit_2(tmp_path, capsys):
 
 
 def test_pml_past_grouped_limits_exits_2(tmp_path, capsys):
-    # 21^5 states for the exact evaluation of the output: over the limit
+    # a Zipf sample at n = 200: the exact evaluation of its output needs
+    # 3.7e6 states on its cheaper side, over the limit
     pfile = tmp_path / "p.json"
-    pfile.write_text(Profile((1, 2, 3, 4, 5), (20,) * 5).to_json())
+    p = Profile((1, 2, 3, 4, 5, 7, 8, 10, 12, 15, 18, 31), (34, 12, 6, 2, 1, 1, 1, 2, 1, 1, 1, 1))
+    pfile.write_text(p.to_json())
     assert main(["pml", str(pfile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

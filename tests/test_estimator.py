@@ -13,8 +13,10 @@ from permpml.estimator import (
     estimate_property,
     exact_pml_oracle,
 )
+from permpml.permanent import log_homogeneous_coefficient
 from permpml.profiles import (
     Profile,
+    log_c_phi,
     profile_of_sequence,
     profile_probability_grouped,
     sample_sequence,
@@ -250,6 +252,60 @@ def test_oracle_scores_in_bounded_memory():
     assert peak < 64_000_000
     for i in range(0, len(qs), 40_000):
         assert scores[i] == pytest.approx(profile_probability_grouped(qs[i], p), rel=1e-14)
+
+
+def _sampled_profile(source, n, seed):
+    # as test_maximize_log_g_certifies_sampled_profiles samples them: n draws
+    # from a source on n/2 symbols
+    rng = np.random.default_rng([n, seed])
+    size = n // 2
+    if source == "uniform":
+        q = np.full(size, 1.0 / size)
+    elif source == "zipf":
+        q = 1.0 / np.arange(1, size + 1)
+        q /= q.sum()
+    else:
+        q = rng.dirichlet(np.ones(size))
+    return profile_of_sequence(sample_sequence(q, n, rng))
+
+
+@pytest.mark.parametrize("source, seed", [("uniform", 0), ("uniform", 1), ("uniform", 2), ("dirichlet", 1), ("dirichlet", 2)])
+def test_approximate_pml_is_exact_on_the_row_side_at_n_200(source, seed):
+    # the output has 3-7 distinct values: the DP over their counts is small,
+    # where the one over the profile's k + 1 column types is past the limits
+    p = _sampled_profile(source, 200, seed)
+    start = time.process_time()
+    res = approximate_pml(p)
+    assert time.process_time() - start < 1.0
+    assert math.isfinite(res.log_profile_probability)
+    values, rho = np.unique(res.distribution, return_counts=True)
+    phi = [len(res.distribution) - p.observed, *p.counts]
+    log_c = np.log(values)[:, None] * np.array([0, *p.freqs], dtype=float)
+    with pytest.raises(ValueError, match="grouped evaluation"):
+        log_homogeneous_coefficient(phi, log_c, rho)
+    correction = sum(math.lgamma(r + 1) for r in rho) - sum(math.lgamma(f + 1) for f in phi)
+    row_side = log_homogeneous_coefficient(rho, log_c.T, phi) + correction
+    assert res.log_profile_probability == pytest.approx(log_c_phi(p) + row_side, rel=1e-12)
+
+
+@pytest.mark.parametrize("source, seed, side", [("zipf", 0, "row"), ("zipf", 1, "column"), ("zipf", 2, "row"), ("dirichlet", 0, "row")])
+def test_approximate_pml_past_both_sides_raises_before_allocating(monkeypatch, source, seed, side):
+    p = _sampled_profile(source, 200, seed)
+    peaks = []
+
+    def traced(q, p):
+        tracemalloc.start()
+        try:
+            return profile_probability_grouped(q, p)
+        finally:
+            peaks.append((tracemalloc.get_traced_memory()[1], q.nbytes))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(estimator, "profile_probability_grouped", traced)
+    with pytest.raises(ValueError, match=f"grouped evaluation .* on its cheaper side, the {side} side"):
+        approximate_pml(p)
+    [(peak, nbytes)] = peaks
+    assert peak < 20 * nbytes + 100_000  # nothing of the size of the state
 
 
 def test_end_to_end_ratio_small_profiles():

@@ -12,6 +12,7 @@ from permpml import permanent
 from permpml.approx import block_ones_matrix, k_distinct_column_matrix
 from permpml.permanent import (
     is_doubly_stochastic,
+    log_coefficient_cheaper_side,
     log_homogeneous_coefficient,
     log_permanent,
     logsumexp,
@@ -118,19 +119,62 @@ def test_log_permanent_closed_forms_at_large_n():
 
 
 def test_log_permanent_guard():
-    # all columns distinct: 2^(N-1) states, past the work limit at N = 20
-    m = np.random.default_rng(20).random((20, 20))
-    tracemalloc.start()
+    # all columns distinct: 2^(N-1) states, past the work limit at N = 20;
+    # so are the rows, and on equal work the message names the column side
+    tied = np.random.default_rng(20).random((20, 20))
+    # two equal rows: the row side is cheaper (2^20 states), but still past
+    row_cheaper = np.random.default_rng(22).random((22, 22))
+    row_cheaper[1] = row_cheaper[0]
+    for m, side in ((tied, "column"), (row_cheaper, "row")):
+        tracemalloc.start()
+        start = time.process_time()
+        try:
+            with pytest.raises(ValueError, match=f"grouped evaluation .* on its cheaper side, the {side} side"):
+                log_permanent(m)
+            elapsed = time.process_time() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 20 * m.nbytes + 100_000  # nothing of the size of the state
+
+
+def _type_pairs(types, counts):
+    return sorted((tuple(t), int(c)) for t, c in zip(types, counts))
+
+
+def test_grouping_matches_np_unique():
+    # the distinct columns with their counts, then the distinct rows of
+    # those with theirs: as np.unique finds them, in whatever order
+    rng = np.random.default_rng(9)
+    cases = []
+    for _ in range(40):
+        n, rows, cols = rng.integers(1, 13), rng.integers(1, 5), rng.integers(1, 5)
+        types = np.where(rng.uniform(size=(rows, cols)) < 0.3, 0.0, rng.uniform(size=(rows, cols)))
+        cases.append(types[rng.integers(0, rows, n)][:, rng.integers(0, cols, n)])
+    # two columns one ulp apart in one entry stay two types
+    ulp = rng.uniform(size=(6, 6))
+    ulp[:, 4] = ulp[:, 1]
+    ulp[3, 4] = np.nextafter(ulp[3, 1], 2.0)
+    cases.append(ulp)
+    for m in cases:
+        cols, phi = permanent._distinct_columns(m)
+        want = np.unique(m, axis=1, return_counts=True)
+        assert _type_pairs(cols.T, phi) == _type_pairs(want[0].T, want[1])
+        rows, rho = permanent._distinct_columns(cols.T)
+        want = np.unique(cols, axis=0, return_counts=True)
+        assert _type_pairs(rows.T, rho) == _type_pairs(*want)
+    assert len(permanent._distinct_columns(ulp)[1]) == 6
+    assert log_permanent(block_ones_matrix(12, 2)) == 2 * math.lgamma(7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_permanent_of_a_transpose(seed):
+    # k = 4 distinct rows: the column side would have 2^199 states
+    a, _ = k_distinct_column_matrix(200, 4, seed)
     start = time.process_time()
-    try:
-        with pytest.raises(ValueError, match="grouped evaluation"):
-            log_permanent(m)
-        elapsed = time.process_time() - start
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 0.1
-    assert peak < 20 * m.nbytes + 100_000  # nothing of the size of the state
+    assert log_permanent(a.T) == pytest.approx(log_permanent(a), rel=1e-12)
+    assert time.process_time() - start < 1.0
 
 
 def test_log_permanent_splits_components():
@@ -184,6 +228,11 @@ def test_homogeneous_coefficient_matches_naive(phi, seed):
     expected = math.log(permanent_naive(m)) - sum(math.lgamma(f + 1) for f in phi)
     value = log_homogeneous_coefficient(phi, np.log(c), rho.tolist())
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # the transposed call, corrected by sum log rho_i! - sum log phi_j!
+    correction = sum(math.lgamma(r + 1) for r in rho) - sum(math.lgamma(f + 1) for f in phi)
+    transposed = log_homogeneous_coefficient(rho.tolist(), np.log(c).T, phi) + correction
+    assert transposed == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert log_coefficient_cheaper_side(phi, np.log(c), rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_coefficient_guard_raises_before_allocating(monkeypatch):

@@ -197,11 +197,15 @@ def test_grouped_handles_large_supports():
 def test_grouped_matches_uniform_closed_form():
     # uniform on N symbols: P = C_phi N!/(N - observed)! / prod_j phi_j! / N^n,
     # with log(N!/(N - observed)!) summed term by term; at N = 10^6 a difference
-    # of lgammas would cancel digits
+    # of lgammas would cancel digits.  One value is one row type, so every case
+    # runs on the row side, and its correction pairs N with the unseen count:
+    # where they are close, log(N!/unseen!) is summed term by term there too
     cases = [
         (300, (1, 2, 3, 5), (9, 4, 2, 1)),
         (1000, (1, 2, 3, 4, 7), (20, 6, 3, 2, 1)),
         (10**6, (1, 2, 3), (5, 2, 1)),
+        # one value: the row side has 1 state, the column side 31^9
+        (300, tuple(range(1, 11)), (30,) * 10),
     ]
     for n_dom, freqs, counts in cases:
         p = Profile(freqs, counts)
@@ -258,7 +262,8 @@ def test_exact_on_levels_orders_of_size_apart():
 @pytest.mark.parametrize(
     "p, n_values",
     [
-        (Profile(tuple(range(1, 11)), (30,) * 10), 1),  # 31^10 states
+        # 31^9 states on the column side, 2^299 on the row side (all values distinct)
+        (Profile(tuple(range(1, 11)), (30,) * 10), 300),
         # the unseen column (count 1000) is eliminated: 501^2 states, 2000 shifts each
         (Profile((1, 2), (500, 500)), 2000),
     ],
@@ -269,7 +274,7 @@ def test_grouped_guard_raises_before_allocating(p, n_values):
     tracemalloc.start()
     start = time.process_time()
     try:
-        with pytest.raises(ValueError, match="grouped evaluation"):
+        with pytest.raises(ValueError, match="grouped evaluation .* the column side"):
             profile_probability_grouped(q, p)
         elapsed = time.process_time() - start
         _, peak = tracemalloc.get_traced_memory()
