@@ -9,9 +9,10 @@ domain (Schmitzer 2019).  The Sinkhorn value is read from the scalings.
 The Bethe optimum is found from Sinkhorn's point by equality-constrained
 Newton steps and conditional-gradient steps (the linear subproblem is an
 assignment problem), each accepted by halving from the longest feasible step
-until it ascends.
-The assignment solver, `scipy.optimize.linear_sum_assignment`, is imported by
-the first Bethe call and not by `import permpml`.  All three run on the fully
+until it ascends.  It is certified by a bound on the conditional-gradient gap
+from the assignment LP's dual, exact at interior optima, so the assignment
+solver, `scipy.optimize.linear_sum_assignment`, is imported only by the first
+Bethe call that takes a conditional-gradient step.  All three run on the fully
 indecomposable blocks of the support (`permanent.support_blocks`), and answer
 -inf without a sweep when no permutation fits in it.
 
@@ -48,8 +49,8 @@ class ApproximationReport:
     `q` is the doubly stochastic point whose objective is `log_value`
     (Sinkhorn's diagonal scaling of A, or the best Bethe iterate);
     `iterations` and `residual` are the solver's own: Sinkhorn's sweeps and
-    worst row-marginal error, or Bethe's ascent steps and last Frank-Wolfe
-    gap.
+    worst row-marginal error, or Bethe's ascent steps and an upper bound on
+    its last Frank-Wolfe gap.
     """
 
     method: str  # 'sinkhorn' | 'scaled_sinkhorn' | 'bethe'
@@ -233,6 +234,22 @@ def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray:
     return vertex
 
 
+def _gap_bound(grad: np.ndarray, support: np.ndarray, qm: np.ndarray) -> float:
+    """An upper bound on the Frank-Wolfe gap max_P <grad, P - qm> over permutations P in the support.
+
+    By weak duality for the assignment LP, any u, v with u_i + v_j >= grad_ij
+    on the support bound every permutation's score by sum u + sum v.  Row
+    maxima, then column maxima of grad - u, then row maxima of grad - v give
+    such a pair in O(N^2); the bound is exact when grad = a_i + b_j on a
+    full support, as the KKT conditions make it at an interior optimum.
+    """
+    g = np.where(support, grad, -np.inf)
+    # initial=-inf: the empty matrix's reductions run over an empty axis
+    v = (g - g.max(axis=1, initial=-np.inf)[:, None]).max(axis=0, initial=-np.inf)
+    u = (g - v[None, :]).max(axis=1, initial=-np.inf)
+    return float(u.sum() + v.sum() - np.sum(grad * qm))
+
+
 def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarray, free: np.ndarray):
     """Equality-constrained Newton step for F on the support entries.
 
@@ -300,11 +317,16 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     towards the assignment vertex when Newton does not improve; both are
     accepted by `_ascent_step`.  F is concave on the polytope (Vontobel
     2013), so the value is certified by a Frank-Wolfe gap <= BETHE_TOL
-    whichever steps were taken.  `on_iteration`, when given, receives the
-    best objective after every step; it never decreases.  The report's q is
-    the first point of that best objective, its log_value that objective
-    exactly.  It counts the steps and carries the last iterate's gap as its
-    residual: F(best) + gap still bounds the optimum, as F(best) >= F(last).
+    whichever steps were taken.  The gap is bounded from the assignment LP's
+    dual (`_gap_bound`), which needs no assignment solve and is exact at an
+    interior optimum; the assignment is solved only when a Frank-Wolfe step
+    is about to be taken, and its exact gap then decides when it is the
+    smaller.  `on_iteration`, when given, receives the best objective after
+    every step; it never decreases.  The report's q is the first point of
+    that best objective, its log_value that objective exactly.  It counts the
+    steps and carries the last iterate's gap bound as its residual, never
+    below that iterate's exact gap: F(best) + residual still bounds the
+    optimum, as F(best) >= F(last).
 
     It runs on the blocks of the support (`permanent.support_blocks`).  With
     no perfect matching no doubly stochastic point lies on the support: the
@@ -327,8 +349,7 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     gap = math.inf
     while steps < BETHE_MAX_ITER:
         grad = _bethe_gradient(am, qm, support)
-        direction = _assignment_vertex(grad, support) - qm
-        gap = float(np.sum(grad * direction))
+        gap = _gap_bound(grad, support, qm)
         if gap <= BETHE_TOL:
             break
 
@@ -348,6 +369,10 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
             # guaranteed and cannot cycle
             allow_newton = step[1] > f_cur + noise
         else:
+            direction = _assignment_vertex(grad, support) - qm
+            gap = min(gap, float(np.sum(grad * direction)))
+            if gap <= BETHE_TOL:
+                break
             step = _ascent_step(am, qm, direction, f_cur)
             if step is None:
                 break  # numerically stalled on both step types

@@ -417,6 +417,51 @@ def test_sinkhorn_and_bethe_converge_on_random_sparse_matrices():
         assert lp <= sk.log_value + 1e-8
 
 
+def _refuse_assignment(score, support):
+    raise AssertionError("an assignment problem was solved")
+
+
+def test_bethe_gap_bound_is_never_below_the_exact_gap(monkeypatch):
+    # weak duality of the assignment LP: the bound Bethe stops on is at least
+    # the gap to the assignment vertex, at the returned q and at the last
+    # iterate, so the last iterate of a converged report has an exact gap
+    # <= BETHE_TOL (the returned q, the best iterate, can come earlier)
+    bound_of = approx._gap_bound
+    last = []
+
+    def record_last(grad, support, qm):
+        last[:] = [grad, support, qm]
+        return bound_of(grad, support, qm)
+
+    monkeypatch.setattr(approx, "_gap_bound", record_last)
+
+    def exact_gap(grad, support, qm):
+        return float(np.sum(grad * (approx._assignment_vertex(grad, support) - qm)))
+
+    cubes = []
+    for seed in range(300):  # the recipe of test_bethe_reports_the_point_of_its_value
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        cubes.append(rng.uniform(0, 1, (n, n)) ** 3)
+    for a in cubes + _random_sparse_matrices_with_a_matching():
+        r = bethe_permanent(a)
+        am = approx._within_blocks(a)[0]
+        at_q = [approx._bethe_gradient(am, r.q, am > 0), am > 0, r.q]
+        slack = 1e-12 * max(1.0, abs(r.log_value))
+        for point in (at_q, last):
+            assert bound_of(*point) >= exact_gap(*point) - slack
+        if r.converged:
+            assert exact_gap(*last) <= BETHE_TOL
+
+
+def test_bethe_certifies_interior_optima_without_an_assignment(monkeypatch):
+    # at an interior optimum the gradient is a_i + b_j on the support, where
+    # the dual bound is exact: no Frank-Wolfe step, so no assignment solve
+    monkeypatch.setattr(approx, "_assignment_vertex", _refuse_assignment)
+    for a in _perm_workload_matrices():
+        assert bethe_permanent(a).converged
+
+
 def test_bethe_pins_one_column_per_block():
     # a 1 x 1 block has q = 1 exactly: with one pinned column for the whole
     # matrix its Newton system was singular, and Frank-Wolfe alone ran all
@@ -602,6 +647,37 @@ def test_lower_bound_gap_growth():
         e = block_ones_matrix(n, k)
         gap = log_permanent(e) - bethe_permanent(e).log_value
         assert gap >= 0.3 * k * math.log(n // k)
+
+
+@pytest.mark.parametrize(
+    "a, k",
+    [
+        pytest.param(k_distinct_column_matrix(1000, 3, 0)[0], 3, id="k-distinct-1000-3"),
+        pytest.param(k_distinct_column_matrix(200, 4, 0)[0], 4, id="k-distinct-200-4"),
+        pytest.param(k_distinct_column_matrix(100, 5, 0)[0], 5, id="k-distinct-100-5"),
+        pytest.param(block_ones_matrix(100, 4), 4, id="block-ones-100-4"),
+        pytest.param(block_ones_matrix(400, 16), 16, id="block-ones-400-16"),
+        pytest.param(block_ones_matrix(1000, 10), 10, id="block-ones-1000-10"),
+    ],
+)
+def test_paper_bounds_at_large_n(monkeypatch, a, k):
+    # scaled Sinkhorn <= Bethe <= perm, and perm / Bethe <= (N/k)^k, at N = 10^2-10^3;
+    # every optimum here is interior, so Bethe certifies with no assignment solved
+    monkeypatch.setattr(approx, "_assignment_vertex", _refuse_assignment)
+    n = a.shape[0]
+    results = []
+    for method in (scaled_sinkhorn_permanent, bethe_permanent, log_permanent):
+        # the calling thread's CPU: with two BLAS threads on two cores, a
+        # helper spin-waiting through Bethe's Newton solves doubles process_time
+        start = time.thread_time()
+        results.append(method(a))
+        assert time.thread_time() - start < 1.0, method.__name__
+    scaled, bethe, lp = results
+    assert scaled.converged and bethe.converged
+    tol = 1e-8 * max(1.0, abs(lp))
+    assert scaled.log_value <= bethe.log_value + tol
+    assert bethe.log_value <= lp + tol
+    assert lp - bethe.log_value <= k * math.log(n / k)
 
 
 def test_k_distinct_column_matrix():

@@ -33,16 +33,25 @@ def _fresh(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_import_loads_no_scipy_until_bethe_runs():
+def test_import_loads_no_scipy_until_bethe_takes_a_frank_wolfe_step():
+    # Bethe certifies J2 by the assignment LP's dual bound, with no assignment
+    # solved; seed 6 of test_bethe_reports_the_point_of_its_value (n = 7)
+    # takes one Frank-Wolfe step, whose vertex scipy.optimize finds
     out = _fresh(
         f"import permpml\nprint({SCIPY_LOADED})\n"
         "print(permpml.bethe_permanent(np.ones((2, 2))).log_value)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "rng = np.random.default_rng(6)\n"
+        "a = rng.uniform(0, 1, (int(rng.integers(3, 12)),) * 2) ** 3\n"
+        "print(a.shape[0], permpml.bethe_permanent(a).converged)\n"
         "print('scipy.optimize' in sys.modules)"
     )
-    loaded, bethe, optimize_after = out.splitlines()
+    loaded, bethe, optimize_after_j2, seed6, optimize_after_seed6 = out.splitlines()
     assert loaded == "False"
     assert abs(float(bethe)) < 1e-8
-    assert optimize_after == "True"
+    assert optimize_after_j2 == "False"
+    assert seed6 == "7 True"
+    assert optimize_after_seed6 == "True"
 
 
 def test_pml_path_and_sinkhorn_on_a_positive_matrix_load_no_scipy():
