@@ -1,5 +1,8 @@
 """Command-line front end: profiles, approximate PML, permanent comparisons.
 
+Every command but `sample` writes one strict JSON object, and a JSON input
+that is not the object its command reads (`permanent.json_object`) exits 2.
+
 Exit codes: 0 success, 2 input/validation error, 3 flagged numerical
 non-convergence (the result is still written).
 """
@@ -7,26 +10,16 @@ non-convergence (the result is still written).
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 from permpml.approx import bethe_permanent, sinkhorn_permanent
 from permpml.estimator import approximate_pml, exact_pml_oracle
-from permpml.permanent import log_permanent, matrix_from_json, strict_json
+from permpml.permanent import json_object, log_permanent, matrix_from_json, strict_json
 from permpml.profiles import Profile, profile_of_sequence, sample_sequence
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGED = 3
-
-
-def _fmt(x: float | bool | None) -> str:
-    if isinstance(x, bool):
-        return strict_json(x)
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return format(x, ".17g")
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -80,17 +73,13 @@ def _cmd_perm_compare(args) -> int:
         "sinkhorn_converged": sinkhorn.converged,
         "bethe_converged": bethe.converged,
     }
-    if args.format == "json":
-        _write(strict_json(record), args.out)
-    else:
-        _write(",".join(_fmt(v) for v in record.values()), args.out)
+    _write(strict_json(record), args.out)
     return EXIT_OK if sinkhorn.converged and bethe.converged else EXIT_NONCONVERGED
 
 
 def _cmd_sample(args) -> int:
     with open(args.dist_file) as fh:
-        obj = json.loads(fh.read())
-    probs = obj["probs"] if isinstance(obj, dict) else obj
+        probs = json_object(fh.read(), probs=list)["probs"]
     if args.n <= 0:
         raise ValueError("n must be positive")
     seq = sample_sequence(probs, args.n, args.seed)
@@ -123,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pml.add_argument("--out")
     p_pml.set_defaults(func=_cmd_pml)
 
-    p_cmp = sub.add_parser("perm-compare", help="exact vs approximate permanents as CSV")
+    p_cmp = sub.add_parser("perm-compare", help="exact vs approximate permanents as one JSON object")
     p_cmp.add_argument("matrix_file")
-    p_cmp.add_argument("--format", choices=["json", "csv"], default="csv")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_perm_compare)
 
@@ -150,7 +138,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -36,7 +36,6 @@ corrector share one inverse of that reduced matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -181,16 +180,7 @@ class AllocationMatrix:
         return bool(np.all(near_integer(self.row_sums())))
 
     def to_json(self) -> str:
-        return strict_json(self)  # its fields, as from_json reads them
-
-    @classmethod
-    def from_json(cls, text: str) -> "AllocationMatrix":
-        obj = json.loads(text)
-        return cls(
-            np.asarray(obj["levels"], dtype=float),
-            np.asarray(obj["entries"], dtype=float),
-            Profile(tuple(obj["profile"]["freqs"]), tuple(obj["profile"]["counts"])),
-        )
+        return strict_json(self)
 
 
 def log_g(entries, levels, col_freqs) -> float:

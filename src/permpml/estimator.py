@@ -228,7 +228,9 @@ def exact_pml_oracle(
         if len(qs):
             scored.append((qs, _log_probabilities(log_qs, p)))
     if not scored:
-        raise ValueError("no feasible candidate found")
+        need = f"max_support >= {p.observed} and grid_step <= 1/{p.observed}"
+        got = f"max_support {max_support} and grid_step {grid_step}"
+        raise ValueError(f"no feasible candidate: {p.observed} observed symbols need {need}, got {got}")
     top = max(scores.max() for _, scores in scored)
     cut = top - _TIE_TOL * max(1.0, abs(top))
     best_q = None

@@ -13,7 +13,8 @@ equal columns and rows `_distinct_columns` groups with one sort per axis, and
 `profiles.profile_probability_grouped` on the profile matrix.  Hard limits
 on the program's states and work keep every call inside a desk-scale budget.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
-`strict_json` is the one JSON writer of the package and its CLI.
+`strict_json` is the one JSON writer of the package and its CLI, and
+`json_object` the check of every JSON object they read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from itertools import permutations, zip_longest
 
 import numpy as np
@@ -350,6 +352,23 @@ def _strict(x):
     return x
 
 
+def json_object(text: str, **kinds: type) -> dict:
+    """The JSON object in `text`, whose keys `kinds` hold an `int` or a `list` of numbers.
+
+    Numbers must fit a finite float.  Other text (a bare list; a string, `true`
+    or 1e400 for a number) raises ValueError, the CLI's input error, not TypeError.
+    """
+    obj = json.loads(text)
+    for key, kind in kinds.items():
+        value = obj.get(key) if isinstance(obj, dict) else None
+        items = value if type(value) is list else [value]
+        numbers = all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items)
+        if type(value) is not kind or not numbers:
+            want = "a list of numbers" if kind is list else "an integer"
+            raise ValueError(f"expected a JSON object whose {key} is {want}")
+    return obj
+
+
 def matrix_to_json(a) -> str:
     """Serialize a matrix as {"rows": N, "cols": N, "data": [row-major]}."""
     m = as_matrix(a)
@@ -357,8 +376,8 @@ def matrix_to_json(a) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    obj = json_object(text, rows=int, cols=int, data=list)
+    rows, cols = obj["rows"], obj["cols"]
     data = np.asarray(obj["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"data length {data.size} does not match {rows}x{cols}")

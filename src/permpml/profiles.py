@@ -22,14 +22,13 @@ references for the tests.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import log_coefficient_cheaper_side, strict_json
+from permpml.permanent import json_object, log_coefficient_cheaper_side, strict_json
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
@@ -74,7 +73,7 @@ class Profile:
 
     @classmethod
     def from_json(cls, text: str) -> "Profile":
-        obj = json.loads(text)
+        obj = json_object(text, freqs=list, counts=list)
         return cls(tuple(obj["freqs"]), tuple(obj["counts"]))
 
 

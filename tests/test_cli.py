@@ -13,6 +13,7 @@ from permpml.permanent import matrix_to_json, strict_json
 from permpml.profiles import Profile
 
 NO_MATCHING = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+PROFILE_VERBS = ["pml", "oracle-pml"]
 
 
 def run(capsys, argv):
@@ -85,19 +86,19 @@ def test_perm_compare_closed_forms(tmp_path, capsys):
     mfile.write_text(matrix_to_json(np.ones((2, 2))))
     code, out = run(capsys, ["perm-compare", str(mfile)])
     assert code == 0
-    cells = out.strip().split(",")
-    assert cells[0] == "2"
-    assert float(cells[1]) == pytest.approx(math.log(2))
-    assert float(cells[3]) == pytest.approx(2 * math.log(2) - 2)
-    assert abs(float(cells[4])) <= 1e-8  # bethe(J2) = 1
+    obj = json.loads(out)
+    assert obj["n"] == 2
+    assert obj["log_perm"] == pytest.approx(math.log(2))
+    assert obj["log_scaled_sinkhorn"] == pytest.approx(2 * math.log(2) - 2)
+    assert abs(obj["log_bethe"]) <= 1e-8  # bethe(J2) = 1
 
     mfile.write_text(matrix_to_json(np.eye(3)))
     code, out = run(capsys, ["perm-compare", str(mfile)])
-    cells = out.strip().split(",")
-    assert float(cells[1]) == pytest.approx(0.0)
-    assert float(cells[2]) == pytest.approx(0.0, abs=1e-9)   # sinkhorn
-    assert float(cells[3]) == pytest.approx(-3.0)            # scaled sinkhorn
-    assert float(cells[4]) == pytest.approx(0.0, abs=1e-8)   # bethe
+    obj = json.loads(out)
+    assert obj["log_perm"] == pytest.approx(0.0)
+    assert obj["log_sinkhorn"] == pytest.approx(0.0, abs=1e-9)
+    assert obj["log_scaled_sinkhorn"] == pytest.approx(-3.0)
+    assert obj["log_bethe"] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_perm_compare_block_gap(tmp_path, capsys):
@@ -106,8 +107,7 @@ def test_perm_compare_block_gap(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(matrix_to_json(block_ones_matrix(12, 3)))
     code, out = run(capsys, ["perm-compare", str(mfile)])
-    cells = out.strip().split(",")
-    gap = float(cells[5])
+    gap = json.loads(out)["gap_bethe"]
     assert gap == pytest.approx(3 * math.log(24) - 3 * (4 * math.log(4) + 12 * math.log(0.75)), abs=1e-4)
 
 
@@ -125,12 +125,12 @@ def test_sample_round_trip(tmp_path, capsys):
     assert sum(f * c for f, c in zip(prof["freqs"], prof["counts"])) == 12
 
     point = tmp_path / "point.json"
-    point.write_text(json.dumps([1.0]))
+    point.write_text(json.dumps({"probs": [1.0]}))
     code, out = run(capsys, ["sample", str(point), "3", "--seed", "0"])
     assert code == 0 and out.split() == ["s0", "s0", "s0"]
     assert main(["sample", str(dist), "0", "--seed", "1"]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([0.5, 0.4]))
+    bad.write_text(json.dumps({"probs": [0.5, 0.4]}))
     assert main(["sample", str(bad), "3", "--seed", "1"]) == 2
     capsys.readouterr()
 
@@ -146,13 +146,23 @@ def test_oracle_pml_command(tmp_path, capsys):
 
 
 def test_perm_compare_json_format(tmp_path, capsys):
+    # the record is one JSON object on one line, its keys in this order
     mfile = tmp_path / "m.json"
     mfile.write_text(matrix_to_json(np.ones((2, 2))))
-    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    code, out = run(capsys, ["perm-compare", str(mfile)])
     assert code == 0
-    obj = json.loads(out)
-    assert obj["n"] == 2
-    assert obj["log_perm"] == pytest.approx(math.log(2))
+    assert out.count("\n") == 1 and out.endswith("}\n")
+    assert list(json.loads(out)) == [
+        "n",
+        "log_perm",
+        "log_sinkhorn",
+        "log_scaled_sinkhorn",
+        "log_bethe",
+        "gap_bethe",
+        "gap_scaled_sinkhorn",
+        "sinkhorn_converged",
+        "bethe_converged",
+    ]
 
 
 def test_perm_compare_json_writes_null_for_non_finite_values():
@@ -194,7 +204,7 @@ def test_every_writer_is_strict_json(tmp_path, capsys):
     pfile, mfile = tmp_path / "p.json", tmp_path / "m.json"
     pfile.write_text(p.to_json())
     mfile.write_text(matrix_to_json(NO_MATCHING))
-    for argv in (["pml", pfile], ["oracle-pml", pfile], ["perm-compare", mfile, "--format", "json"]):
+    for argv in (["pml", pfile], ["oracle-pml", pfile], ["perm-compare", mfile]):
         texts.append(run(capsys, list(map(str, argv)))[1])
     for text in texts:
         json.loads(text, parse_constant=refuse)
@@ -209,14 +219,12 @@ def test_perm_compare_past_exact_limits(tmp_path, capsys):
     # all 20 columns distinct: past the exact dynamic program's work limit
     mfile = tmp_path / "m.json"
     mfile.write_text(matrix_to_json(np.random.default_rng(3).uniform(0.5, 1.0, (20, 20))))
-    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    code, out = run(capsys, ["perm-compare", str(mfile)])
     assert code == 0
     obj = json.loads(out)
-    assert obj["log_perm"] is None and obj["gap_bethe"] is None
+    assert obj["n"] == 20
+    assert obj["log_perm"] is obj["gap_bethe"] is obj["gap_scaled_sinkhorn"] is None
     assert obj["log_scaled_sinkhorn"] <= obj["log_bethe"] <= obj["log_sinkhorn"]
-    code, out = run(capsys, ["perm-compare", str(mfile)])
-    cells = out.strip().split(",")
-    assert cells[0] == "20" and cells[1] == "" and cells[5] == ""
 
 
 def test_perm_compare_zero_row_writes_nulls(tmp_path, capsys):
@@ -227,7 +235,7 @@ def test_perm_compare_zero_row_writes_nulls(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     for m in (zero_row, NO_MATCHING):
         mfile.write_text(matrix_to_json(m))
-        code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+        code, out = run(capsys, ["perm-compare", str(mfile)])
         assert code == 0
         obj = json.loads(out)
         assert obj.pop("n") == 3
@@ -241,17 +249,14 @@ def test_perm_compare_exits_3_when_a_solver_does_not_converge(tmp_path, capsys, 
     monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
     mfile = tmp_path / "m.json"
     mfile.write_text(matrix_to_json(np.array([[1e-200, 1e-200], [1e-200, 1.0]])))
-    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    code, out = run(capsys, ["perm-compare", str(mfile)])
     assert code == 3
     obj = json.loads(out)
     assert obj["sinkhorn_converged"] is False
     assert obj["log_sinkhorn"] < obj["log_perm"]
-    code, out = run(capsys, ["perm-compare", str(mfile)])
-    assert code == 3
-    assert out.strip().split(",")[7:] == ["false", str(obj["bethe_converged"]).lower()]
 
     mfile.write_text(matrix_to_json(np.ones((2, 2))))
-    code, out = run(capsys, ["perm-compare", str(mfile), "--format", "json"])
+    code, out = run(capsys, ["perm-compare", str(mfile)])
     assert code == 0
     obj = json.loads(out)
     assert obj["sinkhorn_converged"] is obj["bethe_converged"] is True
@@ -279,6 +284,51 @@ def test_oracle_pml_missing_freqs_exits_2(tmp_path, capsys):
     assert main(["oracle-pml", str(pfile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "verbs, text",
+    [
+        (PROFILE_VERBS, "[1, 2]"),
+        (PROFILE_VERBS, "3"),
+        (PROFILE_VERBS, '{"freqs": ["a"], "counts": [1]}'),
+        (PROFILE_VERBS, '{"freqs": 3, "counts": [1]}'),
+        (PROFILE_VERBS, '{"freqs": [null], "counts": [1]}'),
+        (PROFILE_VERBS, '{"freqs": [1e400], "counts": [1]}'),
+        (PROFILE_VERBS, '{"freqs": [true], "counts": [1]}'),
+        (["perm-compare"], "[1, 2]"),
+        (["perm-compare"], "3"),
+        (["perm-compare"], '{"rows": "1", "cols": 1, "data": [1]}'),
+        (["perm-compare"], '{"rows": 1, "cols": 1, "data": [{"a": 1}]}'),
+        (["perm-compare"], '{"rows": 1, "cols": 1, "data": 1}'),
+        (["perm-compare"], '{"rows": 1, "cols": 1, "data": [1%s]}' % ("0" * 400)),
+        (["sample"], "[1, 2]"),
+        (["sample"], "3"),
+        (["sample"], "[1.0]"),
+        (["sample"], '{"probs": {"a": 1}}'),
+        (["sample"], '{"probs": [{"a": 1}]}'),
+        (["sample"], '{"probs": ["a"]}'),
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, verbs, text):
+    # every reader takes one JSON object holding its keys: anything else is an
+    # input error, exit 2 with one error line, and never a traceback
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    for verb in verbs:
+        extra = ["3", "--seed", "1"] if verb == "sample" else []
+        assert main([verb, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), (verb, captured.err)
+
+
+def test_oracle_pml_max_support_below_the_observed_symbols_exits_2(tmp_path, capsys):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(Profile((1,), (3,)).to_json())
+    assert main(["oracle-pml", str(pfile), "--max-support", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "max_support 2" in captured.err and "3 observed" in captured.err
 
 
 @pytest.mark.parametrize("step", ["0", "-0.5", "1.5"])

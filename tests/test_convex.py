@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -616,7 +617,9 @@ def test_allocation_json_round_trip():
     alloc = AllocationMatrix(
         np.array([1.0, 0.25]), np.array([[0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), p
     )
-    back = AllocationMatrix.from_json(alloc.to_json())
-    np.testing.assert_array_equal(back.entries, alloc.entries)
-    np.testing.assert_array_equal(back.levels, alloc.levels)
-    assert back.profile == p
+    obj = json.loads(alloc.to_json())
+    assert obj == {
+        "levels": [1.0, 0.25],
+        "entries": [[0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "profile": {"freqs": [1, 2], "counts": [1, 1]},
+    }

@@ -102,6 +102,10 @@ def test_oracle_guards():
     for step in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match="grid_step"):
             exact_pml_oracle(Profile((1,), (2,)), grid_step=step)
+    # three symbols seen: no support below three, and no grid coarser than 1/3
+    for kwargs in ({"max_support": 2}, {"grid_step": 0.5}):
+        with pytest.raises(ValueError, match="3 observed symbols need max_support >= 3"):
+            exact_pml_oracle(Profile((1,), (3,)), **kwargs)
 
 
 def _partitions(n, largest):
