@@ -12,9 +12,10 @@ assignment problem), each accepted by halving from the longest feasible step
 until it ascends.  It is certified by a bound on the conditional-gradient gap
 from the assignment LP's dual, exact at interior optima, so the assignment
 solver, `scipy.optimize.linear_sum_assignment`, is imported only by the first
-Bethe call that takes a conditional-gradient step.  All three run on the fully
-indecomposable blocks of the support (`permanent.support_blocks`), and answer
--inf without a sweep when no permutation fits in it.
+Bethe call that takes a conditional-gradient step: the package's one scipy
+import.  All three run on the fully indecomposable blocks of the support
+(`permanent.support_blocks`, numpy alone), and answer -inf without a sweep
+when no permutation fits in it.
 
 Also provides the two structured test-matrix generators used throughout the
 test-suite: block-diagonal all-ones matrices and matrices with a prescribed
@@ -308,7 +309,7 @@ def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
     return None
 
 
-def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
+def bethe_permanent(a, on_iteration=None, sinkhorn=None) -> ApproximationReport:
     """exp(max_Q U(A, Q) + V(Q)) by Newton and Frank-Wolfe ascent steps.
 
     Starts at Sinkhorn's q (same support, finite objective).  Plain
@@ -326,7 +327,9 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     that best objective, its log_value that objective exactly.  It counts the
     steps and carries the last iterate's gap bound as its residual, never
     below that iterate's exact gap: F(best) + residual still bounds the
-    optimum, as F(best) >= F(last).
+    optimum, as F(best) >= F(last).  `sinkhorn`, when given, is
+    `sinkhorn_permanent(a)`'s report, whose q is the start, so that a caller
+    holding it does not pay the Sinkhorn sweeps twice.
 
     It runs on the blocks of the support (`permanent.support_blocks`).  With
     no perfect matching no doubly stochastic point lies on the support: the
@@ -341,7 +344,12 @@ def bethe_permanent(a, on_iteration=None) -> ApproximationReport:
     support = am > 0
     free = np.ones(n, dtype=bool)  # Newton pins the last column of each block
     free[n - 1 - np.unique(col_labels[::-1], return_index=True)[1]] = False
-    qm = _scale(am).q
+    if sinkhorn is None:
+        qm = _scale(am).q
+    elif sinkhorn.q.shape == am.shape:
+        qm = sinkhorn.q
+    else:
+        raise ValueError(f"the Sinkhorn report is of a {sinkhorn.q.shape} matrix, not {am.shape}")
     f_cur = _f_value(am, qm)
     best_q, best_f = qm, f_cur
     allow_newton = True

@@ -60,7 +60,7 @@ def _cmd_perm_compare(args) -> int:
     except ValueError:  # past the limits of the exact dynamic program (non-square fails below)
         exact = None
     sinkhorn = sinkhorn_permanent(matrix)
-    bethe = bethe_permanent(matrix)
+    bethe = bethe_permanent(matrix, sinkhorn=sinkhorn)  # from Sinkhorn's q: its sweeps run once
     scaled = sinkhorn.log_value - matrix.shape[0]  # scaled_sinkhorn_permanent's shift
     record = {
         "n": matrix.shape[0],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -120,29 +121,114 @@ def support_blocks(support: np.ndarray):
     Mendelsohn 1958): a label per row and per column, or None when no
     permutation fits.  An entry lies on a perfect matching iff its row and
     column share a label.  The one support analysis of `log_permanent`,
-    Sinkhorn and Bethe.  A positive matrix is one block.  Otherwise a perfect
-    matching is the identity when the diagonal has no zero, else a maximum
-    bipartite matching (Hopcroft & Karp 1973), and the blocks are the strongly
-    connected components of the digraph of `support[:, match]`.
-    `scipy.sparse.csgraph` is imported here, off `import permpml`.
+    Sinkhorn and Bethe, in numpy and plain Python.  A positive matrix is one
+    block.  Otherwise a perfect matching is the identity when the diagonal has
+    no zero, else `_perfect_matching`'s, and the blocks are the strongly
+    connected components of the digraph of `support[:, match]`, whose rows
+    each hold their own diagonal entry: equal rows reach each other, so they
+    are grouped first (one np.packbits, one np.unique), and Tarjan's
+    algorithm (1972) runs on the graph of the groups.
     """
     n = _require_square(support)
     if support.all():
-        return np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
-    from scipy.sparse import csgraph, csr_matrix
-
-    rows, cols = np.nonzero(support)
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     match = np.arange(n)
     if not support.diagonal().all():
-        graph = csr_matrix((np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n))
-        match = csgraph.maximum_bipartite_matching(graph, perm_type="column")
-        if np.any(match < 0):
+        match = _perfect_matching(support)
+        if match is None:
             return None
-    position = np.argsort(match).astype(np.int32)  # of each column in the matching
-    graph = csr_matrix((np.ones(len(cols)), position[cols], indptr), shape=(n, n))
-    labels = csgraph.connected_components(graph, connection="strong")[1]
-    return labels, labels[position]
+        support = support[:, match]
+    packed = np.ascontiguousarray(np.packbits(support, axis=1))
+    _, first, group = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    quotient = np.zeros((len(first), len(first)), dtype=bool)
+    rows, cols = np.nonzero(support[first])
+    quotient[rows, group[cols]] = True
+    rows, cols = np.nonzero(quotient)
+    indptr = np.searchsorted(rows, np.arange(len(first) + 1)).tolist()
+    row_labels = np.array(_strong_components(indptr, cols.tolist()))[group]
+    col_labels = np.empty_like(row_labels)
+    col_labels[match] = row_labels
+    return row_labels, col_labels
+
+
+def _perfect_matching(support: np.ndarray):
+    """The column matched to each row by a perfect matching of `support`, or None.
+
+    A greedy matching (each row in turn takes its first free column) grows
+    by augmenting paths in Hopcroft-Karp phases (1973).  A phase's BFS runs
+    from every free row at once, one layer of numpy operations over the
+    dense support at a time, and stops at the first layer that reaches a
+    free column; the paths of its BFS forest from those columns that share
+    no row are augmented.  When the BFS reaches no free column the matching
+    is maximum (Berge) and not perfect.  No recursion: N passes Python's
+    recursion limit.
+    """
+    n = len(support)
+    col_of = np.full(n, -1)  # the column matched to each row
+    row_of = np.full(n, -1)  # the row matched to each column
+    for i, j in enumerate(support.argmax(axis=1).tolist()):
+        if row_of[j] >= 0:
+            j = int(np.argmax(support[i] & (row_of < 0)))
+        if support[i, j] and row_of[j] < 0:
+            col_of[i], row_of[j] = j, i
+    while (free := np.flatnonzero(col_of < 0)).size:
+        parent = np.full(n, -1)  # the row from which the BFS reached each column
+        frontier, ends = free, free[:0]
+        while frontier.size and not ends.size:
+            reach = support[frontier]
+            cols = np.flatnonzero(reach.any(axis=0) & (parent < 0))
+            parent[cols] = frontier[reach[:, cols].argmax(axis=0)]
+            ends = cols[row_of[cols] < 0]
+            frontier = row_of[cols]
+        if not ends.size:
+            return None
+        used = np.zeros(n, dtype=bool)
+        for j in ends.tolist():
+            path = []  # (row, column) pairs from the free column back to a free row
+            while j >= 0 and not used[i := int(parent[j])]:
+                path.append((i, j))
+                j = int(col_of[i])
+            if j < 0:  # reached a free row without meeting another path
+                for i, j in path:
+                    used[i] = True
+                    col_of[i], row_of[j] = j, i
+    return col_of
+
+
+def _strong_components(indptr: list[int], heads: list[int]) -> list[int]:
+    """A component label per node of the digraph whose node v has edges to
+    heads[indptr[v]:indptr[v + 1]]: Tarjan's algorithm (1972), with an
+    explicit stack of edge iterators in place of recursion.
+    """
+    size = len(indptr) - 1
+    index, low, label = [-1] * size, [0] * size, [-1] * size
+    stack, work, labels, counter = [], [], 0, itertools.count()
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        work.append((v, iter(heads[indptr[v] : indptr[v + 1]])))
+
+    for root in range(size):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:  # descend into w; v's other edges wait on its iterator
+                    visit(w)
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[u := work[-1][0]]:
+                    low[u] = low[v]
+                if low[v] == index[v]:  # v roots a component: pop it
+                    while label[v] < 0:
+                        label[stack.pop()] = labels
+                    labels += 1
+    return label
 
 
 def _dp_size(phi: list[int], rho: list[int]) -> tuple[int, int]:

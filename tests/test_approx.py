@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 from scipy.special import gammaln, logsumexp
 
 from permpml import approx, permanent
@@ -342,6 +343,26 @@ def test_bethe_report_counts_its_own_steps():
     assert sinkhorn_scale(a).iterations == 43
 
 
+def test_bethe_starts_from_a_given_sinkhorn_report(monkeypatch):
+    # the report's q is the start that Bethe's own scaling reaches: the same
+    # report, with no sweep run; a report of another shape is refused
+    a = np.random.default_rng(7).uniform(0, 1, (5, 5)) ** 3
+    a[0, 1:] = 0.0  # two blocks: the report's q is the scaling of the blocks
+    want, sinkhorn, other = bethe_permanent(a), sinkhorn_permanent(a), sinkhorn_permanent(a[1:, 1:])
+
+    def refuse(_):
+        raise AssertionError("Sinkhorn's sweeps called")
+
+    monkeypatch.setattr(approx, "_scale", refuse)
+    got = bethe_permanent(a, sinkhorn=sinkhorn)
+    assert (got.log_value, got.iterations, got.residual, got.converged) == (
+        want.log_value, want.iterations, want.residual, want.converged
+    )
+    np.testing.assert_array_equal(got.q, want.q)
+    with pytest.raises(ValueError, match="Sinkhorn report"):
+        bethe_permanent(a, sinkhorn=other)
+
+
 def test_bethe_without_perfect_matching_skips_sinkhorn(monkeypatch):
     # no permutation fits in the support: Sinkhorn would stagnate for all of
     # SINKHORN_MAX_ITER sweeps, so Bethe must answer before calling it
@@ -400,6 +421,75 @@ def test_support_blocks_hold_the_entries_on_perfect_matchings():
             assert (row_labels[i] == col_labels[j]) == (permanent_naive(minor) > 0)
             entries += 1
     assert entries == 2523
+
+
+def _csgraph_blocks(s):
+    """The blocks of `support_blocks` from scipy.sparse.csgraph: the strongly
+    connected components of support[:, match] for a maximum matching; None
+    when it leaves a row unmatched."""
+    match = csgraph.maximum_bipartite_matching(csr_matrix(s), perm_type="column")
+    if np.any(match < 0):
+        return None
+    rows = csgraph.connected_components(csr_matrix(s[:, match]), connection="strong")[1]
+    cols = np.empty_like(rows)
+    cols[match] = rows
+    return rows, cols
+
+
+def _same_blocks(got, want):
+    # the row and column labels of both partitions, equal up to relabelling
+    pairs = set(zip(np.concatenate(got).tolist(), np.concatenate(want).tolist()))
+    return len(pairs) == len(np.unique(np.concatenate(got))) == len(np.unique(np.concatenate(want)))
+
+
+def _random_supports():
+    # zero diagonals, shuffled block diagonals with entries above the blocks
+    # and a few removed, and shuffled triangular supports
+    rng = np.random.default_rng(11)
+    for t in range(300):
+        n = int(rng.integers(2, 61))
+        if t % 3 == 0:
+            s = rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.3)
+            np.fill_diagonal(s, False)
+        elif t % 3 == 1:
+            s = (block_ones_matrix(n, int(rng.integers(1, n + 1))) > 0) | np.triu(rng.uniform(size=(n, n)) < 0.05)
+            s &= rng.uniform(size=(n, n)) < 0.9
+        else:
+            s = np.triu(rng.uniform(size=(n, n)) < 0.5)
+            np.fill_diagonal(s, rng.uniform(size=n) < 0.97)
+        if t % 3:
+            s = s[rng.permutation(n)][:, rng.permutation(n)]
+        yield s
+
+
+def test_support_blocks_match_csgraph():
+    counts = {"none": 0, "blocks": 0}
+    for s in _random_supports():
+        got, want = support_blocks(s), _csgraph_blocks(s)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _same_blocks(got, want)
+        counts["none" if got is None else "blocks"] += 1
+    assert counts == {"none": 150, "blocks": 150}
+
+
+def test_support_blocks_at_n_1000_in_under_a_second():
+    # no recursion (N passes Python's recursion limit) and bounded work on a
+    # matching that must be grown, on 1000 singleton blocks and on one block
+    rng = np.random.default_rng(12)
+    n = 1000
+    supports = {
+        "shuffled blocks": (block_ones_matrix(n, 10) > 0)[rng.permutation(n)][:, rng.permutation(n)],
+        "triangular": np.triu(np.ones((n, n), dtype=bool)),
+        "permutation": np.eye(n, dtype=bool)[rng.permutation(n)],
+        "ones - eye": ~np.eye(n, dtype=bool),
+    }
+    for name, s in supports.items():
+        start = time.process_time()
+        got = support_blocks(s)
+        assert time.process_time() - start < 1.0, name
+        assert _same_blocks(got, _csgraph_blocks(s)), name
+        assert len(np.unique(got[0])) == {"shuffled blocks": 10, "ones - eye": 1}.get(name, n)
 
 
 def test_sinkhorn_and_bethe_converge_on_random_sparse_matrices():

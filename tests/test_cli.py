@@ -262,6 +262,23 @@ def test_perm_compare_exits_3_when_a_solver_does_not_converge(tmp_path, capsys, 
     assert obj["sinkhorn_converged"] is obj["bethe_converged"] is True
 
 
+def test_perm_compare_scales_the_matrix_once(tmp_path, capsys, monkeypatch):
+    # Bethe starts from the Sinkhorn report the command holds, so the sweeps
+    # run once, and its value is the one Bethe reaches from its own scaling
+    monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
+    a = np.array([[1e-200, 1e-200], [1e-200, 1.0]])
+    bethe = approx.bethe_permanent(a)
+    scalings = []
+    scale = approx._scale
+    monkeypatch.setattr(approx, "_scale", lambda am: scalings.append(am) or scale(am))
+    mfile = tmp_path / "m.json"
+    mfile.write_text(matrix_to_json(a))
+    code, out = run(capsys, ["perm-compare", str(mfile)])
+    assert code == 3 and len(scalings) == 1
+    obj = json.loads(out)
+    assert (obj["log_bethe"], obj["bethe_converged"]) == (bethe.log_value, bethe.converged)
+
+
 def test_perm_compare_missing_rows_exits_2(tmp_path, capsys):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps({"cols": 2, "data": [1.0, 1.0, 1.0, 1.0]}))

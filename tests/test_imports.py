@@ -68,18 +68,22 @@ def test_pml_path_and_sinkhorn_on_a_positive_matrix_load_no_scipy():
     assert out.splitlines() == ["True", "True", "True", "False"]
 
 
-def test_zero_on_the_diagonal_loads_csgraph_but_not_optimize():
-    # a positive matrix is one block without csgraph; any zero sends the
-    # support to csgraph for its blocks (with no matching, as in the last
-    # matrix, there are none); Sinkhorn solves no assignment
-    loaded = "print('scipy.sparse.csgraph' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+def test_supports_with_zeros_load_no_scipy():
+    # the support blocks are numpy alone: a zero on the diagonal, a support
+    # with no matching, blocks of ones and a triangular support load no scipy
+    # module, nor does a Bethe run that takes no Frank-Wolfe step
     out = _fresh(
         "import permpml\n"
-        "permpml.sinkhorn_permanent(np.ones((2, 2)))\n" + loaded
-        + "print(permpml.sinkhorn_permanent(np.eye(2)).log_value)\n" + loaded
-        + "print(permpml.sinkhorn_permanent(np.array([[0.0, 1.0], [0.0, 1.0]])).log_value)\n"
+        "print(permpml.sinkhorn_permanent(np.eye(2)).log_value)\n"
+        "print(permpml.sinkhorn_permanent(np.array([[0.0, 1.0], [0.0, 1.0]])).log_value)\n"
+        "blocks = permpml.block_ones_matrix(12, 2)\n"
+        "print(permpml.sinkhorn_permanent(blocks).converged)\n"
+        "print(permpml.log_permanent(np.triu(np.ones((30, 30)))))\n"
+        "r = permpml.bethe_permanent(blocks)\n"
+        "print(r.iterations, r.converged)\n"
+        f"print({SCIPY_LOADED})"
     )
-    assert out.splitlines() == ["False False", "0.0", "True False", "-inf"]
+    assert out.splitlines() == ["0.0", "-inf", "True", "0.0", "0 True", "False"]
 
 
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
