@@ -46,6 +46,9 @@ from permpml.profiles import Profile, check_pseudo_distribution
 
 G_TOL = 1e-8
 G_MAX_ITER = 100
+# build_discretization's levels, about 2 sqrt(n): 2066 at n = 10^6, and the
+# limit is reached at n = 23 922 538
+GRID_LEVEL_LIMIT = 10_000
 
 _FLOOR = 1e-250
 _FOOTPRINT = 1e-30
@@ -85,10 +88,20 @@ class DiscretizationSet:
 
 
 def build_discretization(n: int) -> DiscretizationSet:
-    """Grid with ratio 1+eps, eps = log(n)/sqrt(n), truncated at the first value <= 1/(2n^2)."""
+    """Grid with ratio 1+eps, eps = log(n)/sqrt(n), truncated at the first value <= 1/(2n^2).
+
+    Its 1 + ceil(log(2n^2) / log(1 + eps)) levels are counted first, with
+    sqrt(n) as exp(log(n) / 2), which overflows at no n: past
+    GRID_LEVEL_LIMIT it raises ValueError before the grid is built.
+    """
     if n < 2:
         raise ValueError("discretization requires n >= 2")
-    eps = math.log(n) / math.sqrt(n)
+    log_n = math.log(n)
+    if math.log(2.0) + 2.0 * log_n > (GRID_LEVEL_LIMIT - 1) * math.log1p(log_n * math.exp(-0.5 * log_n)):
+        raise ValueError(
+            f"the grid at n = 10^{log_n / math.log(10):.1f} needs over {GRID_LEVEL_LIMIT} levels, about 2 sqrt(n)"
+        )
+    eps = log_n / math.sqrt(n)
     cutoff = 1.0 / (2.0 * n * n)
     vals = [1.0]
     while vals[-1] > cutoff:

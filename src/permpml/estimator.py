@@ -73,7 +73,8 @@ def approximate_pml(p: Profile) -> PmlResult:
     count n (clamped to 2: a single sample still needs a two-point grid and
     gamma must stay below 1).  Solver non-convergence is flagged on the
     result rather than raised; an output whose exact evaluation is past the
-    limits of profile_probability_grouped raises its ValueError.
+    limits of profile_probability_grouped raises its ValueError, and so does
+    an n whose grid is past build_discretization's GRID_LEVEL_LIMIT.
     """
     n_eff = max(p.n, 2)
     grid = build_discretization(n_eff)

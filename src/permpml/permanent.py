@@ -3,15 +3,15 @@
 These are the ground-truth oracles of the package: everything approximate is
 eventually checked against them, so they must never silently degrade.
 `permanent_naive` sums all n! permutation products (n <= 8) and is the
-reference of the tests.  `log_homogeneous_coefficient` is the one exact
-dynamic program: a log-domain program over the counts of each distinct
-column but the largest.  A permanent is also its transpose's, so
-`log_coefficient_cheaper_side` runs the program over the distinct columns or
-over the distinct rows, whichever costs less work.  `log_permanent` calls it
-on each fully indecomposable block of the support (`support_blocks`), whose
-equal columns and rows `_distinct_columns` groups with one sort per axis, and
-`profiles.profile_probability_grouped` on the profile matrix.  Hard limits
-on the program's states and work keep every call inside a desk-scale budget.
+reference of the tests.  `log_coefficient` is the one exact routine: a
+log-domain dynamic program over the counts of each distinct column but the
+largest, or over those of the distinct rows (a permanent is also its
+transpose's), whichever side is less work within hard limits on the states
+and work that keep every call inside a desk-scale budget.  `log_permanent`
+calls it on each fully indecomposable block of the support
+(`support_blocks`), whose equal columns and rows `_distinct_columns` groups
+with one sort per axis, and `profiles.profile_probability_grouped` on the
+profile matrix.
 `logsumexp` is the log-domain reduction of the Sinkhorn and `log g` solvers.
 `strict_json` is the one JSON writer of the package and its CLI, and
 `json_object` the check of every JSON object they read.
@@ -31,7 +31,7 @@ import numpy as np
 
 NAIVE_LIMIT = 8
 
-# Hard limits of log_homogeneous_coefficient: the count of DP states (each a
+# Hard limits of log_coefficient: the count of DP states (each a
 # float in a few arrays of that size) and of state updates, states x k x
 # shifts.  A call at the work limit takes about 2 s of CPU.  The PML
 # oracle's scorer keeps its arrays to the state limit too.
@@ -99,14 +99,13 @@ def log_permanent(a) -> float:
     of prod_j y_j^{phi_j} in prod_rows sum_j c_ij y_j, with rho_i equal rows
     grouped into one factor (sum_j c_ij y_j)^{rho_i}; `_distinct_columns`
     groups the columns, then the rows of the distinct columns, with one
-    np.lexsort each.  The coefficient is `log_homogeneous_coefficient`'s,
-    which eliminates the column type of largest multiplicity: prod (phi_j+1)
+    np.lexsort each.  The coefficient is `log_coefficient`'s, which
+    eliminates the column type of largest multiplicity: prod (phi_j+1)
     states over the others, exp(O(k log(N/k))) for k distinct columns
-    whatever N is.  `log_coefficient_cheaper_side` runs it on the rows
-    instead when that is less work, so k distinct rows cost the same.  A
-    dense block with all columns and rows distinct has 2^(N-1) states and
-    stops at N = 20 under the work limit; a sparse matrix stops only when
-    one of its blocks does.
+    whatever N is, or runs over the rows when that is less work, so k
+    distinct rows cost the same.  A dense block with all columns and rows
+    distinct has 2^(N-1) states and stops at N = 20 under the work limit; a
+    sparse matrix stops only when one of its blocks does.
     """
     m = as_matrix(a)
     blocks = support_blocks(m > 0)
@@ -232,7 +231,7 @@ def _strong_components(indptr: list[int], heads: list[int]) -> list[int]:
 
 
 def _dp_size(phi: list[int], rho: list[int]) -> tuple[int, int]:
-    """States and work of log_homogeneous_coefficient(phi, ., rho).
+    """States and work of _log_coefficient_dp(phi, ., rho).
 
     The states are prod_j (phi_j+1) over the column types but the (first)
     largest, and the work is states x k x sum_i min(rho_i, N), for the k
@@ -244,44 +243,53 @@ def _dp_size(phi: list[int], rho: list[int]) -> tuple[int, int]:
     return states, states * (len(phi) - phi.count(0) - 1) * sum([c if c < rest else rest for c in rho])
 
 
-def _within_limits(states: int, work: int) -> bool:
-    return states <= GROUPED_STATE_LIMIT and work <= GROUPED_WORK_LIMIT
-
-
-def _past_limits(states: int, work: int, where: str = "") -> ValueError:
-    return ValueError(
-        f"grouped evaluation needs {states} states and {work} slice updates{where}, "
-        f"over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
-    )
-
-
-def log_homogeneous_coefficient(phi, log_c, rho) -> float:
+def log_coefficient(phi, log_c, rho) -> float:
     """log of the coefficient of prod_j y_j^phi_j in prod_i (sum_j c_ij y_j)^rho_i.
 
     Row i of log_c (logs, rows distinct) has multiplicity rho_i, column type
-    j count phi_j, and sum(phi) = sum(rho).  Types of count 0 are dropped.
-    Every monomial has degree sum(rho), so the type of largest count (the
-    first of them; call it type 0) enters with y = 1, and what is left is
-    the coefficient of prod_j y_j^phi_j over the k other types in
-    prod_i (c_i0 + u_i)^rho_i, u_i = sum_j c_ij y_j.  The state is its
-    log-domain coefficient array of shape (phi_1+1, ..., phi_k+1), truncated
-    at the target.  Factor i is applied by Horner's rule over its binomial
-    expansion, acc <- C(rho_i, t) c_i0^{rho_i - t} coef + u_i acc for
-    t = T_i down to 0, T_i = min(rho_i, phi_1 + ... + phi_k); each
-    multiplication by u_i is one unit shift, k slices that move every
-    coefficient one step up axis j.  All terms are positive, so nothing
-    cancels.
-
-    Cost (`_dp_size`): prod_j (phi_j+1) states and sum_i T_i shifts of k
-    slices each.  A call whose state count or work count (states x k x
-    shifts) exceeds GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT raises
-    ValueError before the state is allocated.
+    j count phi_j, and sum(phi) = sum(rho).  The coefficient times
+    prod_j phi_j! is the permanent of the matrix with rho_i copies of row i
+    and phi_j copies of column j of c, and so is the transposed one's,
+    (rho, log_c.T, phi), times prod_i rho_i!.  `_log_coefficient_dp` runs on
+    the side of less work by `_dp_size` (the column side on a tie), or on
+    the only side within GROUPED_STATE_LIMIT and GROUPED_WORK_LIMIT; a row
+    side run adds sum_i log rho_i! - sum_j log phi_j!.  With neither side
+    within them, ValueError naming the cheaper side is raised before any
+    state is allocated.
     """
     phi = [int(c) for c in phi]
     rho = [int(c) for c in rho]
-    states, work = _dp_size(phi, rho)
-    if not _within_limits(states, work):
-        raise _past_limits(states, work)
+    cols, rows = _dp_size(phi, rho), _dp_size(rho, phi)
+    col_fits = cols[0] <= GROUPED_STATE_LIMIT and cols[1] <= GROUPED_WORK_LIMIT
+    row_fits = rows[0] <= GROUPED_STATE_LIMIT and rows[1] <= GROUPED_WORK_LIMIT
+    transposed = rows[1] < cols[1] if col_fits == row_fits else row_fits
+    if not (col_fits or row_fits):
+        states, work, side = (*rows, "row") if transposed else (*cols, "column")
+        raise ValueError(
+            f"grouped evaluation needs {states} states and {work} slice updates on its cheaper side, "
+            f"the {side} side, over the limits {GROUPED_STATE_LIMIT} and {GROUPED_WORK_LIMIT}"
+        )
+    if not transposed:
+        return _log_coefficient_dp(phi, log_c, rho)
+    return _log_coefficient_dp(rho, log_c.T, phi) + _log_factorial_ratio(rho, phi)
+
+
+def _log_coefficient_dp(phi: list[int], log_c: np.ndarray, rho: list[int]) -> float:
+    """log_coefficient(phi, log_c, rho) over the column counts, with no guard.
+
+    Types of count 0 are dropped.  Every monomial has degree sum(rho), so
+    the type of largest count (the first of them; call it type 0) enters
+    with y = 1, and what is left is the coefficient of prod_j y_j^phi_j over
+    the k other types in prod_i (c_i0 + u_i)^rho_i, u_i = sum_j c_ij y_j.
+    The state is its log-domain coefficient array of shape
+    (phi_1+1, ..., phi_k+1), truncated at the target.  Factor i is applied
+    by Horner's rule over its binomial expansion,
+    acc <- C(rho_i, t) c_i0^{rho_i - t} coef + u_i acc for t = T_i down to
+    0, T_i = min(rho_i, phi_1 + ... + phi_k); each multiplication by u_i is
+    one unit shift, k slices that move every coefficient one step up axis j.
+    All terms are positive, so nothing cancels.  Cost (`_dp_size`):
+    prod_j (phi_j+1) states and sum_i T_i shifts of k slices each.
+    """
     # the types of positive count, largest first; sorted is stable, also reversed
     order = sorted(range(len(phi)), key=phi.__getitem__, reverse=True)[: len(phi) - phi.count(0)]
     log_w0, log_w = log_c[:, order[0]].tolist(), log_c[:, order[1:]].tolist()
@@ -308,31 +316,6 @@ def log_homogeneous_coefficient(phi, log_c, rho) -> float:
             acc = nxt
         coef = acc
     return float(coef[(-1,) * k])
-
-
-def log_coefficient_cheaper_side(phi, log_c, rho) -> float:
-    """log_homogeneous_coefficient(phi, log_c, rho), run on the side of less work.
-
-    The coefficient times prod_j phi_j! is the permanent of the matrix with
-    rho_i copies of row i and phi_j copies of column j of c, and so is the
-    transposed call's, (rho, log_c.T, phi), times prod_i rho_i!: the row
-    side gives the same value corrected by sum_i log rho_i! - sum_j
-    log phi_j!.  The side whose `_dp_size` work is smaller runs, the column
-    side on a tie; a side past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT
-    runs only when the other is past them too, and then ValueError, naming
-    the cheaper side, is raised before any state is allocated.
-    """
-    phi = [int(c) for c in phi]
-    rho = [int(c) for c in rho]
-    cols, rows = _dp_size(phi, rho), _dp_size(rho, phi)
-    col_fits, row_fits = _within_limits(*cols), _within_limits(*rows)
-    transposed = rows[1] < cols[1] if col_fits == row_fits else row_fits
-    if not (col_fits or row_fits):
-        side = "row" if transposed else "column"
-        raise _past_limits(*(rows if transposed else cols), f" on its cheaper side, the {side} side")
-    if not transposed:
-        return log_homogeneous_coefficient(phi, log_c, rho)
-    return log_homogeneous_coefficient(rho, log_c.T, phi) + _log_factorial_ratio(rho, phi)
 
 
 def _log_factorial_ratio(top: list[int], bottom: list[int]) -> float:
@@ -374,7 +357,7 @@ def _log_permanent_connected(m: np.ndarray) -> float:
     with np.errstate(divide="ignore"):
         log_c = np.log(rows.T)
     phi = phi.tolist()
-    return log_coefficient_cheaper_side(phi, log_c, rho.tolist()) + sum(math.lgamma(f + 1) for f in phi)
+    return log_coefficient(phi, log_c, rho.tolist()) + sum(math.lgamma(f + 1) for f in phi)
 
 
 def is_doubly_stochastic(a, tol: float) -> bool:

@@ -7,12 +7,11 @@ profile probability matrix, which is what the whole pipeline approximates.
 
 ``profile_probability_grouped`` evaluates it exactly; the profile matrix has
 at most k+1 distinct columns (the unseen frequency and the k observed ones)
-and one distinct row per distinct value of q.  The dynamic program of
-``permanent.log_homogeneous_coefficient`` runs over the counts of either,
-with the type of largest count eliminated, whatever the domain size is:
-``permanent.log_coefficient_cheaper_side`` picks the side of less work, so
-an output with few distinct values is exact even when the profile has many
-frequencies.  Calls past the program's hard limits on both sides raise
+and one distinct row per distinct value of q.  ``permanent.log_coefficient``
+runs its dynamic program over the counts of either, with the type of
+largest count eliminated, whatever the domain size is, on the side of less
+work: an output with few distinct values is exact even when the profile has
+many frequencies.  Calls past the program's hard limits on both sides raise
 ValueError before any work is done.
 ``profile_probability_bruteforce`` enumerates raw sequences (tiny n only)
 and ``profile_probability_matrix`` builds the paper's N x N matrix; both are
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permpml.permanent import json_object, log_coefficient_cheaper_side, strict_json
+from permpml.permanent import json_object, log_coefficient, strict_json
 
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
@@ -38,7 +37,10 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Profile:
-    """Distinct nonzero frequencies (increasing) with their multiplicities."""
+    """Distinct nonzero frequencies (increasing) with their multiplicities.
+
+    Integral floats and numpy integers are accepted and stored as Python ints.
+    """
 
     freqs: tuple[int, ...]
     counts: tuple[int, ...]
@@ -52,6 +54,8 @@ class Profile:
             raise ValueError("multiplicities must be positive integers")
         if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
+        object.__setattr__(self, "freqs", tuple(int(f) for f in self.freqs))
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     @property
     def n(self) -> int:
@@ -151,9 +155,9 @@ def profile_probability_grouped(q, p: Profile) -> float:
     phi_0 = sum_i rho_i - observed.  Entries of q equal to 0 drop out: such
     a symbol can only be unseen, so with u unseen columns it multiplies both
     the permanent and its divisor u! by u.
-    `permanent.log_coefficient_cheaper_side` computes the coefficient, over
-    the counts phi_j or over the counts rho_i, whichever is less work.  A
-    call past GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT on both sides raises
+    `permanent.log_coefficient` computes the coefficient, over the counts
+    phi_j or over the counts rho_i, whichever is less work.  A call past
+    GROUPED_STATE_LIMIT or GROUPED_WORK_LIMIT on both sides raises
     ValueError, naming the cheaper side, before the state is allocated.
     """
     v = check_pseudo_distribution(q)
@@ -162,7 +166,7 @@ def profile_probability_grouped(q, p: Profile) -> float:
     if unseen < 0:
         return -math.inf  # fewer possible symbols than observed ones
     log_c = np.log(values)[:, None] * np.array([0, *p.freqs], dtype=float)
-    return log_c_phi(p) + log_coefficient_cheaper_side([unseen, *p.counts], log_c, rho.tolist())
+    return log_c_phi(p) + log_coefficient([unseen, *p.counts], log_c, rho.tolist())
 
 
 def sample_sequence(q, n: int, seed) -> list[str]:

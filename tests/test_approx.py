@@ -737,6 +737,23 @@ def test_lower_bound_gap_growth():
         e = block_ones_matrix(n, k)
         gap = log_permanent(e) - bethe_permanent(e).log_value
         assert gap >= 0.3 * k * math.log(n // k)
+    # at fixed N/k = m the gap is k times the one-block gap, log m! - log of
+    # Bethe at the uniform q = J/m, m log m + m(m-1) log(1 - 1/m): linear in
+    # k up to N = 10^3
+    m = 25
+    one_block = math.lgamma(m + 1) - m * math.log(m) - m * (m - 1) * math.log(1 - 1 / m)
+    assert one_block == pytest.approx(2.0249063134, abs=1e-10)
+    for k in (1, 2, 4, 8, 16, 40):
+        e = block_ones_matrix(m * k, k)
+        gap = log_permanent(e) - bethe_permanent(e).log_value
+        assert gap == pytest.approx(k * one_block, rel=1e-12)
+        assert gap >= 0.3 * k * math.log(m)
+
+
+def _multiplicity_bound(a, axis):
+    """sum_c log(c! e^c / c^c) over the multiplicities c of a's distinct columns (axis 1) or rows (axis 0)."""
+    c = np.unique(a, axis=axis, return_counts=True)[1]
+    return float(np.sum(gammaln(c + 1) + c - c * np.log(c)))
 
 
 @pytest.mark.parametrize(
@@ -745,6 +762,9 @@ def test_lower_bound_gap_growth():
         pytest.param(k_distinct_column_matrix(1000, 3, 0)[0], 3, id="k-distinct-1000-3"),
         pytest.param(k_distinct_column_matrix(200, 4, 0)[0], 4, id="k-distinct-200-4"),
         pytest.param(k_distinct_column_matrix(100, 5, 0)[0], 5, id="k-distinct-100-5"),
+        pytest.param(k_distinct_column_matrix(1000, 3, 0)[0].T, 3, id="k-distinct-rows-1000-3"),
+        pytest.param(k_distinct_column_matrix(200, 4, 0)[0].T, 4, id="k-distinct-rows-200-4"),
+        pytest.param(k_distinct_column_matrix(100, 5, 0)[0].T, 5, id="k-distinct-rows-100-5"),
         pytest.param(block_ones_matrix(100, 4), 4, id="block-ones-100-4"),
         pytest.param(block_ones_matrix(400, 16), 16, id="block-ones-400-16"),
         pytest.param(block_ones_matrix(1000, 10), 10, id="block-ones-1000-10"),
@@ -768,6 +788,12 @@ def test_paper_bounds_at_large_n(monkeypatch, a, k):
     assert scaled.log_value <= bethe.log_value + tol
     assert bethe.log_value <= lp + tol
     assert lp - bethe.log_value <= k * math.log(n / k)
+    # perm / scaled Sinkhorn <= e^B, B = min over the column and row sides of
+    # sum_c log(c! e^c / c^c) over the multiplicities c, and B <= k log(N/k);
+    # block-ones attains B, so the comparison allows 1e-8 relative
+    bound = min(_multiplicity_bound(a, 1), _multiplicity_bound(a, 0))
+    assert lp - scaled.log_value <= bound * (1 + 1e-8)
+    assert bound <= k * math.log(n / k)
 
 
 def test_k_distinct_column_matrix():

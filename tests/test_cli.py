@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,32 @@ def test_pml_past_grouped_limits_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: grouped evaluation needs")
+
+
+def test_integral_floats_in_a_profile_read_as_ints(tmp_path, capsys):
+    # a profile of integral floats is the profile of those integers: both
+    # verbs exit 0 and write what they write for the integers ("n": 4)
+    outputs = []
+    for text in ('{"freqs": [1, 2], "counts": [2, 1]}', '{"freqs": [1.0, 2.0], "counts": [2.0, 1.0]}'):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(text)
+        outputs.append([run(capsys, [verb, str(pfile)]) for verb in PROFILE_VERBS])
+    ints, floats = outputs
+    assert floats == ints
+    assert [code for code, _ in floats] == [0, 0]
+    n = json.loads(floats[0][1])["params"]["n"]
+    assert n == 4 and type(n) is int
+
+
+def test_pml_on_a_huge_n_exits_2(tmp_path, capsys):
+    # n = 10^16 asks for about 2 * 10^8 grid levels: refused before any is built
+    pfile = tmp_path / "p.json"
+    pfile.write_text('{"freqs": [10000000000000000], "counts": [1]}')
+    start = time.process_time()
+    assert main(["pml", str(pfile)]) == 2
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_perm_compare_closed_forms(tmp_path, capsys):

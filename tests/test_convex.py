@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from permpml.convex import (
     G_TOL,
+    GRID_LEVEL_LIMIT,
     AllocationMatrix,
     DiscretizationSet,
     build_discretization,
@@ -43,6 +44,30 @@ def test_build_discretization_small_and_variants():
     assert grid.values[-1] <= 1 / 32 and grid.values[0] == 1.0
     with pytest.raises(ValueError):
         build_discretization(1)
+
+
+def test_build_discretization_refuses_a_huge_n():
+    # about 2 sqrt(n) levels, counted before any is built: n = 10^6 (2066
+    # levels) and 23 922 538 (10^4) stay inside the limit, one more is past
+    # it, and n = 10^16 (2 * 10^8 levels, several GB), 10^400 (past float
+    # range) and 10^700 (eps underflows) are refused at once, with nothing
+    # of the grid's size allocated
+    assert len(build_discretization(10**6)) == 2066
+    assert len(build_discretization(23_922_538)) == GRID_LEVEL_LIMIT
+    with pytest.raises(ValueError, match="n = 10\\^7.4 needs over 10000 levels"):
+        build_discretization(23_922_539)
+    for n in (10**16, 10**400, 10**700):
+        tracemalloc.start()
+        start = time.process_time()
+        try:
+            with pytest.raises(ValueError, match="needs over 10000 levels"):
+                build_discretization(n)
+            elapsed = time.process_time() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 100_000
 
 
 def test_discretization_invariants_enforced():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from permpml import estimator
+from permpml import estimator, permanent
 from permpml.convex import build_discretization, maximize_log_g
 from permpml.estimator import (
     PmlResult,
@@ -13,7 +13,6 @@ from permpml.estimator import (
     estimate_property,
     exact_pml_oracle,
 )
-from permpml.permanent import log_homogeneous_coefficient
 from permpml.profiles import (
     Profile,
     log_c_phi,
@@ -285,10 +284,10 @@ def test_approximate_pml_is_exact_on_the_row_side_at_n_200(source, seed):
     values, rho = np.unique(res.distribution, return_counts=True)
     phi = [len(res.distribution) - p.observed, *p.counts]
     log_c = np.log(values)[:, None] * np.array([0, *p.freqs], dtype=float)
-    with pytest.raises(ValueError, match="grouped evaluation"):
-        log_homogeneous_coefficient(phi, log_c, rho)
+    states, work = permanent._dp_size(phi, rho.tolist())
+    assert states > permanent.GROUPED_STATE_LIMIT or work > permanent.GROUPED_WORK_LIMIT
     correction = sum(math.lgamma(r + 1) for r in rho) - sum(math.lgamma(f + 1) for f in phi)
-    row_side = log_homogeneous_coefficient(rho, log_c.T, phi) + correction
+    row_side = permanent._log_coefficient_dp(rho.tolist(), log_c.T, phi) + correction
     assert res.log_profile_probability == pytest.approx(log_c_phi(p) + row_side, rel=1e-12)
 
 

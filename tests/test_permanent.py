@@ -12,8 +12,7 @@ from permpml import permanent
 from permpml.approx import block_ones_matrix, k_distinct_column_matrix
 from permpml.permanent import (
     is_doubly_stochastic,
-    log_coefficient_cheaper_side,
-    log_homogeneous_coefficient,
+    log_coefficient,
     log_permanent,
     logsumexp,
     matrix_from_json,
@@ -226,36 +225,39 @@ def test_homogeneous_coefficient_matches_naive(phi, seed):
     c = rng.uniform(0.1, 2.0, (len(rho), len(phi)))
     m = np.repeat(np.repeat(c, rho, axis=0), phi, axis=1)
     expected = math.log(permanent_naive(m)) - sum(math.lgamma(f + 1) for f in phi)
-    value = log_homogeneous_coefficient(phi, np.log(c), rho.tolist())
+    value = permanent._log_coefficient_dp(phi, np.log(c), rho.tolist())
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
     # the transposed call, corrected by sum log rho_i! - sum log phi_j!
     correction = sum(math.lgamma(r + 1) for r in rho) - sum(math.lgamma(f + 1) for f in phi)
-    transposed = log_homogeneous_coefficient(rho.tolist(), np.log(c).T, phi) + correction
+    transposed = permanent._log_coefficient_dp(rho.tolist(), np.log(c).T, phi) + correction
     assert transposed == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert log_coefficient_cheaper_side(phi, np.log(c), rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert log_coefficient(phi, np.log(c), rho) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_coefficient_guard_raises_before_allocating(monkeypatch):
-    # the type of count 100 first in order is eliminated; the other three
-    # need 101^3 > GROUPED_STATE_LIMIT states, and the call raises before
-    # that state (8 MB) is allocated
-    log_c = np.zeros((2, 4))
+    # four column types and four row types of count 100: on either side the
+    # type first in order is eliminated, the other three need
+    # 101^3 > GROUPED_STATE_LIMIT states, and the call raises before that
+    # state (8 MB) is allocated, naming the column side on the tie
+    log_c = np.zeros((4, 4))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="grouped evaluation"):
-            log_homogeneous_coefficient((100, 100, 100, 100), log_c, (200, 200))
+        with pytest.raises(ValueError, match="grouped evaluation needs 1030301 states .* the column side"):
+            log_coefficient((100, 100, 100, 100), log_c, (100, 100, 100, 100))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
     # the work is counted exactly: with (2, 1) left after the type of count
-    # 3 is eliminated, 3 x 2 states, 2 slices per shift, 6 shifts
+    # 3 is eliminated, 3 x 2 states, 2 slices per shift, 6 shifts; the row
+    # side (six rows of count 1) needs 32 x 5 x 6 = 960 updates
     log_c = np.log(np.random.default_rng(0).uniform(0.1, 2.0, (6, 3)))
     monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 72)
-    log_homogeneous_coefficient((3, 2, 1), log_c, [1] * 6)
+    value = log_coefficient((3, 2, 1), log_c, [1] * 6)
+    assert value == permanent._log_coefficient_dp([3, 2, 1], log_c, [1] * 6)
     monkeypatch.setattr(permanent, "GROUPED_WORK_LIMIT", 71)
-    with pytest.raises(ValueError, match="grouped evaluation"):
-        log_homogeneous_coefficient((3, 2, 1), log_c, [1] * 6)
+    with pytest.raises(ValueError, match="needs 6 states and 72 slice updates on its cheaper side, the column side"):
+        log_coefficient((3, 2, 1), log_c, [1] * 6)
 
 
 @pytest.mark.parametrize("axis", [0, 1])

@@ -75,6 +75,21 @@ def test_profile_validation():
         Profile((), ())
 
 
+def test_profile_stores_python_ints():
+    # integral floats (as JSON may write them) and numpy integers are stored
+    # as Python ints, so n and the JSON writers see integers
+    for p in (
+        Profile((1.0, 2.0), (2.0, 1.0)),
+        Profile(tuple(np.array([1, 2])), tuple(np.array([2, 1]))),
+        Profile.from_json('{"freqs": [1.0, 2.0], "counts": [2.0, 1.0]}'),
+    ):
+        assert p == Profile((1, 2), (2, 1))
+        assert all(type(x) is int for x in p.freqs + p.counts) and type(p.n) is int
+        assert p.to_json() == '{"freqs": [1, 2], "counts": [2, 1]}'
+    with pytest.raises(ValueError):
+        Profile((1.5,), (1,))
+
+
 def test_profile_json_round_trip():
     p = Profile((1, 3), (2, 1))
     assert Profile.from_json(p.to_json()) == p
