@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from permpml.permanent import logsumexp, strict_json
-from permpml.profiles import Profile, check_pseudo_distribution
+from permpml.profiles import MASS_TOL, Profile, check_pseudo_distribution
 
 G_TOL = 1e-8
 G_MAX_ITER = 100
@@ -184,9 +184,9 @@ class AllocationMatrix:
         return log_g(self.entries, self.levels, self.col_freqs)
 
     def is_fractionally_feasible(self) -> bool:
-        """Column sums `near` the counts; mass at most 1 + 1e-9."""
+        """Column sums `near` the counts; mass at most 1 + MASS_TOL."""
         counts = np.array(self.profile.counts, dtype=float)
-        return bool(np.all(near(self.column_sums()[1:], counts)) and self.mass() <= 1.0 + 1e-9)
+        return bool(np.all(near(self.column_sums()[1:], counts)) and self.mass() <= 1.0 + MASS_TOL)
 
     def has_integral_row_sums(self) -> bool:
         """Every row sum near an integer (`near_integer`)."""
@@ -524,11 +524,11 @@ def maximize_log_g(
 def pseudo_distribution_of(alloc: AllocationMatrix) -> np.ndarray:
     """Expand integral row sums into a vector with rowsum_i copies of level r_i."""
     if not alloc.has_integral_row_sums():
-        raise ValueError("row sums must be integral within 1e-9")
+        raise ValueError("row sums must be integral within 1e-9 or 16 ulps (near_integer)")
     counts = np.round(alloc.row_sums()).astype(int)
     if np.any((counts > 0) & (alloc.levels <= 0)):
         raise ValueError("positive counts on a zero probability level")
     probs = np.repeat(alloc.levels, counts)
-    if probs.sum() > 1.0 + 1e-9:
+    if probs.sum() > 1.0 + MASS_TOL:
         raise ValueError("pseudo-distribution mass exceeds 1")
     return probs

@@ -27,12 +27,7 @@ import numpy as np
 
 from permpml.convex import build_discretization, maximize_log_g, pseudo_distribution_of
 from permpml.permanent import GROUPED_STATE_LIMIT, logsumexp, strict_json
-from permpml.profiles import (
-    MASS_TOL,
-    Profile,
-    log_c_phi,
-    profile_probability_grouped,
-)
+from permpml.profiles import MASS_TOL, Profile, log_c_phi, profile_probability_grouped
 from permpml.rounding import RoundingTrace, round_allocation
 
 ORACLE_N_LIMIT = 6
@@ -100,15 +95,22 @@ def approximate_pml(p: Profile) -> PmlResult:
     )
 
 
-def _partitions_into(total: int, parts: int, maximum: int):
-    """Non-increasing positive integer tuples of the given length and sum."""
-    if parts == 1:
-        if 1 <= total <= maximum:
-            yield (total,)
-        return
-    for first in range(min(total - parts + 1, maximum), 0, -1):
-        for rest in _partitions_into(total - first, parts - 1, first):
-            yield (first,) + rest
+def _partitions_into(total: int, parts: int) -> np.ndarray:
+    """Non-increasing positive integer rows of the given length and sum, in decreasing lexicographic order.
+
+    With rest left for left entries, a row's next entry runs down from
+    min(its last, rest - left + 1) to max(1, ceil(rest / left)).
+    """
+    rows = np.zeros((int(total >= parts), 0), dtype=np.int64)
+    rest = last = np.full(len(rows), total)
+    for left in range(parts, 0, -1):
+        hi = np.minimum(last, rest - left + 1)
+        width = hi - np.maximum(1, -(-rest // left)) + 1
+        parent = np.repeat(np.arange(len(rows)), width)
+        last = np.repeat(hi + np.cumsum(width) - width, width) - np.arange(len(parent))
+        rows = np.column_stack((rows[parent], last))
+        rest = rest[parent] - last
+    return rows
 
 
 @functools.cache
@@ -143,18 +145,13 @@ def _grid_size(units: int, supports: range) -> int:
 
 
 @functools.cache
-def _simplex_grid(units: int, grid_step: float, support: int) -> tuple[np.ndarray, np.ndarray]:
+def _simplex_grid(units: int, support: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's non-increasing probability vectors of one support size (rows) and their logs.
 
-    Cached read-only: the oracle searches the same grids on every call.
-    The scorer's input checks run here, once per grid.
+    Multiples of 1 / units, of mass 1 within 4.4e-16 (units <= 500), far inside
+    MASS_TOL; cached read-only: the oracle searches the same grids on every call.
     """
-    qs = np.array(list(_partitions_into(units, support, units)), dtype=float)
-    qs = qs.reshape(-1, support) * grid_step
-    if not np.all(np.isfinite(qs) & (qs > 0)):
-        raise ValueError("candidate entries must be finite and positive")
-    if np.any(qs.sum(axis=1) > 1.0 + MASS_TOL):
-        raise ValueError("candidate mass exceeds 1")
+    qs = _partitions_into(units, support) * (1.0 / units)
     log_qs = np.log(qs)
     qs.flags.writeable = False
     log_qs.flags.writeable = False
@@ -176,10 +173,10 @@ def _log_probabilities(log_qs: np.ndarray, p: Profile) -> np.ndarray:
     distinct assignments a of the profile's frequencies, and 0 for each
     unseen symbol, to the symbols: one logsumexp of log_qs @ A.T, A the
     assignments.  The rows must be the logs of positive vectors of mass at
-    most 1, as `_simplex_grid` checks.  Rows go in chunks of at most
-    GROUPED_STATE_LIMIT sums, so the temporaries stay bounded.  Equal values
-    are not grouped, so a row's value can differ from
-    `profile_probability_grouped`'s in the last bits.
+    most 1, as the rows of `_simplex_grid` are by construction.  Rows go in
+    chunks of at most GROUPED_STATE_LIMIT sums, so the temporaries stay
+    bounded.  Equal values are not grouped, so a row's value can differ
+    from `profile_probability_grouped`'s in the last bits.
     """
     items = (0,) * (log_qs.shape[1] - p.observed) + tuple(np.repeat(p.freqs, p.counts).tolist())
     a = _assignments(items)
@@ -196,15 +193,17 @@ def exact_pml_oracle(
     """Best distribution on a simplex grid, maximizing the profile probability.
 
     Exhausts every support size up to max_support and every probability
-    vector whose entries are multiples of grid_step; the result is a
-    certified lower bound on the true PML objective at that resolution.
-    Grids of more than GROUPED_STATE_LIMIT candidates over all support
-    sizes raise ValueError before any is built.  The candidates of every
-    support size are scored by the profile probability's definition; those
-    within a relative 1e-9 of the best score over all support sizes are
-    then evaluated by profile_probability_grouped, support size ascending
-    and then in grid order, so the returned value is that function's and
-    ties go to the first candidate.
+    vector whose entries are multiples of 1 / units, units = round(1 /
+    grid_step), where grid_step must divide 1 (units * grid_step within
+    MASS_TOL of 1); the result is a certified lower bound on the true PML
+    objective at that resolution.  Grids of more than GROUPED_STATE_LIMIT
+    candidates over all support sizes raise ValueError before any is built.
+    The candidates of every support size are scored by the profile
+    probability's definition; those within a relative 1e-9 of the best
+    score over all support sizes are then evaluated by
+    profile_probability_grouped, support size ascending and then in grid
+    order, so the returned value is that function's and ties go to the
+    first candidate.
     """
     if p.n > ORACLE_N_LIMIT:
         raise ValueError(f"oracle limited to n <= {ORACLE_N_LIMIT}")
@@ -212,11 +211,9 @@ def exact_pml_oracle(
         max_support = min(ORACLE_SUPPORT_LIMIT, 2 * p.observed)
     if max_support > ORACLE_SUPPORT_LIMIT:
         raise ValueError(f"oracle limited to support <= {ORACLE_SUPPORT_LIMIT}")
-    if not 0 < grid_step <= 1:
-        raise ValueError("grid_step must lie in (0, 1]")
-    units = round(1.0 / grid_step)
-    if abs(units * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must divide 1")
+    units = round(1.0 / grid_step) if 0 < grid_step <= 1 else 0
+    if units == 0 or abs(units * grid_step - 1.0) > MASS_TOL:
+        raise ValueError(f"grid_step must lie in (0, 1] and divide 1, got {grid_step}")
     supports = range(max(1, p.observed), max_support + 1)
     if _grid_size(units, supports) > GROUPED_STATE_LIMIT:
         raise ValueError(
@@ -225,7 +222,7 @@ def exact_pml_oracle(
         )
     scored = []
     for support in supports:
-        qs, log_qs = _simplex_grid(units, grid_step, support)
+        qs, log_qs = _simplex_grid(units, support)
         if len(qs):
             scored.append((qs, _log_probabilities(log_qs, p)))
     if not scored:

@@ -32,6 +32,8 @@ from permpml.permanent import json_object, log_coefficient, strict_json
 BRUTEFORCE_N = 8
 BRUTEFORCE_DOMAIN = 5
 
+# "Total mass at most one" for every stage: check_pseudo_distribution, fractional
+# feasibility, pseudo_distribution_of and exact_pml_oracle's grid_step rule.
 MASS_TOL = 1e-12
 
 

@@ -375,7 +375,7 @@ def test_oracle_pml_max_support_below_the_observed_symbols_exits_2(tmp_path, cap
     assert "max_support 2" in captured.err and "3 observed" in captured.err
 
 
-@pytest.mark.parametrize("step", ["0", "-0.5", "1.5"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "1.5", "0.10000000005"])
 def test_oracle_pml_bad_grid_step_exits_2(tmp_path, capsys, step):
     pfile = tmp_path / "p.json"
     pfile.write_text(Profile((2,), (1,)).to_json())

@@ -98,13 +98,27 @@ def test_oracle_guards():
         exact_pml_oracle(Profile((1,), (2,)), max_support=9)
     with pytest.raises(ValueError):
         exact_pml_oracle(Profile((1,), (2,)), grid_step=0.03)
-    for step in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(ValueError, match="grid_step"):
+    # units * grid_step must lie within MASS_TOL of 1: 0.1 + 5e-13 would put
+    # 5e-12 on a candidate's mass
+    for step in (0.0, -0.5, 1.5, math.nan, 0.1 + 5e-13, 0.1 + 5e-11, 0.1 - 5e-11):
+        with pytest.raises(ValueError, match="grid_step must lie in .0, 1. and divide 1"):
             exact_pml_oracle(Profile((1,), (2,)), grid_step=step)
     # three symbols seen: no support below three, and no grid coarser than 1/3
     for kwargs in ({"max_support": 2}, {"grid_step": 0.5}):
         with pytest.raises(ValueError, match="3 observed symbols need max_support >= 3"):
             exact_pml_oracle(Profile((1,), (3,)), **kwargs)
+
+
+def test_oracle_grid_is_the_multiples_of_1_over_units():
+    for units in range(1, 51):
+        q, _ = exact_pml_oracle(Profile((1,), (1,)), grid_step=1 / units)
+        assert np.all(np.round(q * units) * (1 / units) == q)
+    # 38 * step is 1 + 1e-12 to the ulp, so the step divides 1; the grid is
+    # the multiples of 1/38, whose support-6 candidates weigh 1 + 4.4e-16 at
+    # most, and not those of the step, one of which weighs 1 + 1.0003e-12
+    q, _ = exact_pml_oracle(Profile((1,), (3,)), grid_step=0.026315789473710525)
+    assert q.sum() <= 1.0 + 1e-15
+    assert np.all(np.round(q * 38) * (1 / 38) == q)
 
 
 def _partitions(n, largest):
@@ -169,7 +183,7 @@ def test_oracle_evaluates_only_candidates_near_the_overall_best(grid_step, monke
         total += len(evaluated)
         grids = {}
         for support in range(p.observed, min(6, 2 * p.observed) + 1):
-            qs, log_qs = estimator._simplex_grid(units, grid_step, support)
+            qs, log_qs = estimator._simplex_grid(units, support)
             if len(qs):
                 grids[support] = (qs, estimator._log_probabilities(log_qs, p))
         top = max(scores.max() for _, scores in grids.values())
@@ -188,8 +202,8 @@ def test_oracle_caches_are_read_only():
     q[0] = 0.5
     q2, best2 = exact_pml_oracle(p, grid_step=0.05)
     assert q2.tobytes() == expected.tobytes() and best2 == best
-    qs, log_qs = estimator._simplex_grid(20, 0.05, 3)
-    assert estimator._simplex_grid(20, 0.05, 3)[0] is qs
+    qs, log_qs = estimator._simplex_grid(20, 3)
+    assert estimator._simplex_grid(20, 3)[0] is qs
     a = estimator._assignments((0, 1, 2))
     assert estimator._assignments((0, 1, 2)) is a
     for table in (qs, log_qs, a):
@@ -217,7 +231,7 @@ def test_oracle_refuses_grids_past_the_state_limit():
     # the counts are the grid's sizes, capped one past the limit
     for units in range(13):
         for support in range(1, 7):
-            size = len(list(estimator._partitions_into(units, support, units)))
+            size = sum(1 for part in _partitions(units, units) if len(part) == support)
             assert estimator._grid_size(units, range(support, support + 1)) == size
     assert estimator._grid_size(200, range(5, 6)) == 583_464
     assert estimator._grid_size(200, range(6, 7)) == estimator.GROUPED_STATE_LIMIT + 1
@@ -232,7 +246,7 @@ def test_oracle_scores_match_the_evaluator(grid_step):
         for counts in _partitions(n, n):
             p = _profile_of_counts(list(counts))
             for support in range(p.observed, min(6, 2 * p.observed) + 1):
-                qs, log_qs = estimator._simplex_grid(units, grid_step, support)
+                qs, log_qs = estimator._simplex_grid(units, support)
                 if not len(qs):
                     continue
                 scores = estimator._log_probabilities(log_qs, p)

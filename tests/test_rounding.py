@@ -258,6 +258,19 @@ def test_round_allocation_accepts_a_column_sum_one_ulp_below_a_large_count():
     assert not off.is_fractionally_feasible()
 
 
+def test_mass_past_the_tolerance_is_refused_at_every_stage():
+    # mass 1 + 2.5e-10: past MASS_TOL, the tolerance of
+    # profile_probability_grouped, so neither the rounding nor the expansion
+    # may pass it on
+    alloc = AllocationMatrix(np.array([0.5 + 2.5e-10, 0.5]), np.array([[0.0, 1.0], [0.0, 1.0]]), Profile((1,), (2,)))
+    assert alloc.has_integral_row_sums()
+    assert not alloc.is_fractionally_feasible()
+    with pytest.raises(ValueError, match="feasib"):
+        round_allocation(alloc, 0.5)
+    with pytest.raises(ValueError, match="mass exceeds 1"):
+        pseudo_distribution_of(alloc)
+
+
 def test_round_allocation_at_n_10000():
     # 10^4 draws from a Zipf source on 5000 symbols (k = 57): the fractional
     # parts that stage 3 hands to structured rounding summed to 6 + 1.1e-9,
