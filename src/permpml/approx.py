@@ -78,15 +78,21 @@ def functional_u(a, q) -> float:
         raise ValueError(f"shape mismatch: {am.shape} vs {qm.shape}")
     if not is_doubly_stochastic(qm, 1e-8):
         raise ValueError("q must be doubly stochastic within 1e-8")
-    return _u_value(am, qm)
+    return _u_value(_log_entries(am), qm)
 
 
-def _u_value(am: np.ndarray, qm: np.ndarray) -> float:
+def _log_entries(am: np.ndarray) -> np.ndarray:
+    """log A, -inf where A is zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(am)
+
+
+def _u_value(loga: np.ndarray, qm: np.ndarray) -> float:
+    # log A - log Q, not log(A / Q), which overflows near the float maximum;
+    # Q on a zero of A meets log A = -inf, and the sum is -inf
     pos = qm > 0
-    if np.any(pos & (am <= 0)):
-        return -math.inf
     qp = qm[pos]
-    return float(np.sum(qp * np.log(am[pos] / qp)))
+    return float(np.sum(qp * (loga[pos] - np.log(qp))))
 
 
 def functional_v(q) -> float:
@@ -103,8 +109,8 @@ def _v_value(qm: np.ndarray) -> float:
     return float(np.sum(u[pos] * np.log(u[pos])))
 
 
-def _f_value(am: np.ndarray, qm: np.ndarray) -> float:
-    return _u_value(am, qm) + _v_value(qm)
+def _f_value(loga: np.ndarray, qm: np.ndarray) -> float:
+    return _u_value(loga, qm) + _v_value(qm)
 
 
 def _within_blocks(am: np.ndarray):
@@ -162,15 +168,15 @@ def _scale(am: np.ndarray) -> ApproximationReport:
     logl = logr = np.zeros(n)
     uv = np.ones(2 * n)  # u and v in one buffer, for one range test
     u, v = uv[:n], uv[n:]
-    kv = am.sum(axis=1)
-    absorb = _outside_scaler_range(kv) or _outside_scaler_range(am.sum(axis=0))
+    with np.errstate(over="ignore"):  # a sum past the float maximum is out of range too
+        kv = am.sum(axis=1)
+        absorb = _outside_scaler_range(kv) or _outside_scaler_range(am.sum(axis=0))
     residual = math.inf
     iterations = 0
     for it in range(1, SINKHORN_MAX_ITER + 1):
         if absorb:
             if loga is None:
-                with np.errstate(divide="ignore"):
-                    loga = np.where(am > 0, np.log(np.where(am > 0, am, 1.0)), -np.inf)
+                loga = _log_entries(am)
             # fold v into logr; the row step recomputes logl, which absorbs u
             logr = logr + np.log(v)
             logl = -logsumexp(loga + logr[None, :], 1)
@@ -216,9 +222,9 @@ def scaled_sinkhorn_permanent(a) -> ApproximationReport:
     return replace(report, method="scaled_sinkhorn", log_value=report.log_value - report.q.shape[0])
 
 
-def _bethe_gradient(am: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _bethe_gradient(loga: np.ndarray, qm: np.ndarray, support: np.ndarray) -> np.ndarray:
     q = np.clip(qm, _TINY, 1.0 - 1e-16)
-    return np.where(support, np.log(np.where(support, am, 1.0)) - np.log(q) - np.log1p(-q) - 2.0, 0.0)
+    return np.where(support, loga - np.log(q) - np.log1p(-q) - 2.0, 0.0)
 
 
 def _assignment_vertex(score: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -288,7 +294,7 @@ def _bethe_newton_direction(qm: np.ndarray, support: np.ndarray, grad: np.ndarra
     return -(grad + mult[:n, None] + b[None, :]) * w
 
 
-def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
+def _ascent_step(loga: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
     """The point qm + t d with F >= floor, halving t from the longest feasible step.
 
     t starts at min(1, 0.995 x the longest step that keeps every entry in
@@ -302,7 +308,7 @@ def _ascent_step(am: np.ndarray, qm: np.ndarray, d: np.ndarray, floor: float):
     t = min(t, 0.995 * float(np.min((1.0 - qm[grow]) / d[grow], initial=np.inf)))
     for _ in range(60):
         cand = qm + t * d
-        f_new = _f_value(am, cand)
+        f_new = _f_value(loga, cand)
         if f_new >= floor:
             return cand, f_new
         t *= 0.5
@@ -350,13 +356,14 @@ def bethe_permanent(a, on_iteration=None, sinkhorn=None) -> ApproximationReport:
         qm = sinkhorn.q
     else:
         raise ValueError(f"the Sinkhorn report is of a {sinkhorn.q.shape} matrix, not {am.shape}")
-    f_cur = _f_value(am, qm)
+    loga = _log_entries(am)
+    f_cur = _f_value(loga, qm)
     best_q, best_f = qm, f_cur
     allow_newton = True
     steps = 0
     gap = math.inf
     while steps < BETHE_MAX_ITER:
-        grad = _bethe_gradient(am, qm, support)
+        grad = _bethe_gradient(loga, qm, support)
         gap = _gap_bound(grad, support, qm)
         if gap <= BETHE_TOL:
             break
@@ -370,7 +377,7 @@ def bethe_permanent(a, on_iteration=None, sinkhorn=None) -> ApproximationReport:
             if delta is not None and np.any(delta) and np.abs(delta).max() <= n:
                 # near the optimum the improvement underflows while the gap
                 # is still linear in position error: tolerate noise
-                step = _ascent_step(am, qm, delta, f_cur - noise)
+                step = _ascent_step(loga, qm, delta, f_cur - noise)
         if step is not None:
             # a within-noise step means Newton has stopped making progress:
             # take a Frank-Wolfe step next round, whose gap contraction is
@@ -381,7 +388,7 @@ def bethe_permanent(a, on_iteration=None, sinkhorn=None) -> ApproximationReport:
             gap = min(gap, float(np.sum(grad * direction)))
             if gap <= BETHE_TOL:
                 break
-            step = _ascent_step(am, qm, direction, f_cur)
+            step = _ascent_step(loga, qm, direction, f_cur)
             if step is None:
                 break  # numerically stalled on both step types
             allow_newton = True

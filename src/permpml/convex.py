@@ -17,11 +17,11 @@ last Newton solve on the active rows it reveals lands on the optimal face.
 The returned matrix is S_ij = t_i softmax_j(m_j log r_i - nu_j); its log g
 gradient is nu_j + log z_i, so its Frank-Wolfe duality gap is the interior
 point's complementarity gap.  That gap, evaluated on the exact returned
-matrix with the linear program's optimum taken from its one-dimensional
-dual over the mass price (an upper bound at any price), certifies the
-result.  The dual is minimized by one sweep over the edges of each
-column's upper convex hull of the points (r_i, gradient_ij), in O(l k)
-memory for l levels and k observed frequencies.
+matrix, certifies the result: the linear program's optimum is bounded by its
+one-dimensional dual over the mass price (an upper bound at any price at or
+above the floor set by the free column 0), taken at that floor.  At the
+solver's output the floor is the solver's own mass price and the bound is
+the optimum; elsewhere the reported gap can only overstate the exact one.
 
 The row log-partitions log z_i come from `permanent.logsumexp`, whose log1p
 form the certificate needs: at the floor levels r_i ~ 1/(2n^2) the dual
@@ -243,61 +243,22 @@ def log_g_gradient(entries, levels, col_freqs) -> np.ndarray:
 
 
 def _linear_oracle(grad: np.ndarray, r: np.ndarray, phi: np.ndarray) -> float:
-    """Maximum of <grad, D> over D >= 0 with column sums phi (columns 1..k), mass <= 1.
+    """Upper bound on <grad, D> over D >= 0 with column sums phi (columns 1..k), mass <= 1.
 
-    Computed from the one-dimensional dual over the mass price lam,
-    F(lam) = lam + sum_j phi_j max_i (grad_ij - lam r_i), for lam at or above
-    lam_floor = max(0, max_i grad_i0 / r_i) (column 0 is free, so its reduced
-    costs must be non-positive).  The levels r must be strictly decreasing.
-    F is convex and piecewise linear.  Column j's term changes slope only at
-    the edges of the upper convex hull of the points (r_i, grad_ij), where the
-    argmax passes from a level r_a to the next hull vertex r_b < r_a at the
-    price of the edge's slope, and its slope rises by phi_j (r_a - r_b) there.
-    Past every breakpoint the slope is 1 - r_min sum(phi) >= 0, so the slope
-    just above lam_floor is that less the rises at the breakpoints above
-    lam_floor; sweeping these in increasing order, the minimum sits at the
-    first one where the slope turns non-negative (at lam_floor if none is
-    needed).  The hulls take O(l k) time and memory, and one sort orders
-    their edges.  Every F(lam) with lam >= lam_floor bounds the optimum from
-    above, so a misplaced breakpoint can only overstate the gap.
+    By weak duality every mass price lam at or above lam_floor =
+    max(0, max_i grad_i0 / r_i) (column 0 is free, so its reduced costs must
+    be non-positive) bounds the maximum by F(lam) = lam + sum_j phi_j
+    max_i (grad_ij - lam r_i); this returns F(lam_floor).  It is the maximum
+    at the solver's output: there grad_ij = nu_j + log z_i, so lam_floor is
+    the solver's mass price (log z_i <= lam r_i, with equality on the active
+    rows), each column's maximum nu_j is attained on the active rows, and
+    F(lam_floor) = lam + phi . nu is the value of the solver's own matrix.
+    Elsewhere it can only overstate the gap, never certify falsely.
     """
     if float(phi.sum()) * float(r[-1]) > 1.0:
         raise ValueError("infeasible: columns cannot fit under the mass constraint")
-    g = grad[:, 1:]
-    lam_floor = max(0.0, float(np.max(grad[:, 0] / r)))
-    levels = r.tolist()
-    # the edges above lam_floor start from each column's argmax just above
-    # it, the last of the levels tied at lam_floor
-    start = len(levels) - 1 - np.argmax((g - lam_floor * r[:, None])[::-1], axis=0)
-    prices, rises = [], []
-    for gj, pj, i0 in zip(g.T.tolist(), phi.tolist(), start.tolist()):
-        # monotone chain over the levels, already sorted: the hull's vertices
-        # and the slope of the edge into each (-inf into the first)
-        hull, slopes = [i0], [-math.inf]
-        for i in range(i0 + 1, len(levels)):
-            while True:
-                a = hull[-1]
-                lam = (gj[a] - gj[i]) / (levels[a] - levels[i])
-                if slopes[-1] < lam:
-                    break
-                hull.pop()
-                slopes.pop()
-            hull.append(i)
-            slopes.append(lam)
-        for e in range(1, len(hull)):
-            if slopes[e] > lam_floor:  # rounding may put the first one at it
-                prices.append(slopes[e])
-                rises.append(pj * (levels[hull[e - 1]] - levels[hull[e]]))
-    lam = lam_floor
-    order = np.argsort(prices)
-    rises = np.asarray(rises)[order]
-    slope = 1.0 - float(phi.sum()) * levels[-1] - float(rises.sum())
-    if slope < 0.0:
-        # the first breakpoint after which the slope is non-negative (the
-        # last one, should rounding keep the running sum below zero)
-        first = int(np.searchsorted(slope + np.cumsum(rises), 0.0))
-        lam = prices[order[min(first, len(order) - 1)]]
-    return lam + float(phi @ np.max(g - lam * r[:, None], axis=0))
+    lam = max(0.0, float(np.max(grad[:, 0] / r)))
+    return lam + float(phi @ np.max(grad[:, 1:] - lam * r[:, None], axis=0))
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,10 @@ class Profile:
     def __post_init__(self):
         if len(self.freqs) != len(self.counts) or not self.freqs:
             raise ValueError("freqs and counts must be equal-length and non-empty")
-        if any(f < 1 or int(f) != f for f in self.freqs):
+        # 1 <= x < inf also refuses NaN and inf before int() sees them
+        if any(not 1 <= f < math.inf or int(f) != f for f in self.freqs):
             raise ValueError("frequencies must be positive integers")
-        if any(c < 1 or int(c) != c for c in self.counts):
+        if any(not 1 <= c < math.inf or int(c) != c for c in self.counts):
             raise ValueError("multiplicities must be positive integers")
         if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")

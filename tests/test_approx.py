@@ -288,7 +288,7 @@ def test_sinkhorn_value_is_read_from_the_scalings(monkeypatch):
         if a is ILL_CONDITIONED:
             monkeypatch.setattr(approx, "SINKHORN_MAX_ITER", 500)
         r, s = sinkhorn_permanent(a), sinkhorn_scale(a)
-        u = approx._u_value(a, r.q)
+        u = approx._u_value(approx._log_entries(a), r.q)
         assert abs(r.log_value - u) <= 1e-12 * max(1.0, abs(u))
         assert (s.method, s.log_value, s.q.tobytes(), s.iterations, s.residual, s.converged) == (
             r.method, r.log_value, r.q.tobytes(), r.iterations, r.residual, r.converged
@@ -536,7 +536,7 @@ def test_bethe_gap_bound_is_never_below_the_exact_gap(monkeypatch):
     for a in cubes + _random_sparse_matrices_with_a_matching():
         r = bethe_permanent(a)
         am = approx._within_blocks(a)[0]
-        at_q = [approx._bethe_gradient(am, r.q, am > 0), am > 0, r.q]
+        at_q = [approx._bethe_gradient(approx._log_entries(am), r.q, am > 0), am > 0, r.q]
         slack = 1e-12 * max(1.0, abs(r.log_value))
         for point in (at_q, last):
             assert bound_of(*point) >= exact_gap(*point) - slack
@@ -684,7 +684,7 @@ def test_bethe_reports_the_point_of_its_value():
         n = int(rng.integers(3, 12))
         a = rng.uniform(0, 1, (n, n)) ** 3
         r = bethe_permanent(a)
-        assert approx._f_value(a, r.q) == r.log_value, seed
+        assert approx._f_value(approx._log_entries(a), r.q) == r.log_value, seed
 
 
 def test_sandwich_random_matrices():
@@ -697,6 +697,21 @@ def test_sandwich_random_matrices():
         assert b.converged
         assert math.exp(ss.log_value) <= math.exp(b.log_value) * (1 + 1e-6)
         assert math.exp(b.log_value) <= math.exp(log_permanent(a)) * (1 + 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 6e307, 1e308, 1.7e308, "uniform"])
+def test_sandwich_near_the_float_maximum(scale):
+    # Bethe read log(A / Q), which overflows from 6e307 on this 3 x 3 (1e308
+    # gave log_value inf, above log perm = 2129.380), and Sinkhorn's range
+    # test warned on row sums past the float maximum
+    if scale == "uniform":
+        a = np.random.default_rng(0).uniform(0.1, 1, (5, 5)) * 1e307
+    else:
+        a = np.full((3, 3), scale)
+    ss, b, lp = scaled_sinkhorn_permanent(a), bethe_permanent(a), log_permanent(a)
+    assert math.isfinite(b.log_value) and b.converged
+    assert ss.log_value <= b.log_value <= lp + 1e-8
 
 
 def test_block_ones_shapes():

@@ -73,6 +73,12 @@ def test_profile_validation():
         Profile((1,), (0,))
     with pytest.raises(ValueError):
         Profile((), ())
+    # int() would raise OverflowError on inf and its own message on NaN
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="frequencies must be positive integers"):
+            Profile((bad,), (1,))
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            Profile((1,), (bad,))
 
 
 def test_profile_stores_python_ints():
